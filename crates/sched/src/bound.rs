@@ -7,15 +7,20 @@
 //! only make sense inside a running search:
 //!
 //! * [`Incumbent`] — the best score found so far for one layer,
-//!   shared lock-free across worker threads;
-//! * [`Cutoff`] — the strict comparison against the incumbent that
-//!   aborts provably-losing candidates mid-schedule.
+//!   shared lock-free across worker threads, plus the layer's graph
+//!   memo;
+//! * [`Cutoff`] — the strict comparison of a run's cost-to-go bound
+//!   against the incumbent that aborts provably-losing candidates
+//!   mid-schedule.
 //!
-//! Because the bound is admissible and the cutoff strict, pruning is
+//! Because the bounds are admissible and the cutoff strict, pruning is
 //! exact: winners are byte-identical to the exhaustive search's (see
 //! DESIGN.md §10).
 
+use crate::error::SchedError;
+use crate::memo::{GraphMemo, RunKey, RunResult};
 use crate::metric::{decode_score, encode_score, Metric};
+use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 pub use flexer_solve::{lower_bound, lower_bound_resident, ScheduleBound};
@@ -26,25 +31,43 @@ pub use flexer_solve::{lower_bound, lower_bound_resident, ScheduleBound};
 /// Scores are stored monotone-encoded (see
 /// [`crate::metric::encode_score`]) so [`Incumbent::observe`] is a
 /// single `AtomicU64::fetch_min` — lock-free and only ever decreasing.
+///
+/// The incumbent also carries the layer's graph memo: scheduler runs
+/// under a [`Cutoff`] on this incumbent record their outcomes, and a
+/// run of a graph seen before is answered from the memo (see
+/// [`crate::OooScheduler::schedule_traced`]). An incumbent therefore
+/// serves one layer search — one layer, one architecture, one metric —
+/// and its memo is freed with it.
 #[derive(Debug)]
-pub struct Incumbent(AtomicU64);
+pub struct Incumbent {
+    best: AtomicU64,
+    memo: Mutex<GraphMemo>,
+}
 
 impl Incumbent {
     /// A fresh incumbent at `+inf` (nothing found yet).
     #[must_use]
     pub fn new() -> Self {
-        Self(AtomicU64::new(encode_score(f64::INFINITY)))
+        Self {
+            best: AtomicU64::new(encode_score(f64::INFINITY)),
+            memo: Mutex::new(GraphMemo::default()),
+        }
     }
 
     /// Records a completed candidate's score; keeps the minimum.
     pub fn observe(&self, score: f64) {
-        self.0.fetch_min(encode_score(score), Ordering::Relaxed);
+        self.best.fetch_min(encode_score(score), Ordering::Relaxed);
     }
 
     /// The best score observed so far (`+inf` if none).
     #[must_use]
     pub fn get(&self) -> f64 {
-        decode_score(self.0.load(Ordering::Relaxed))
+        decode_score(self.best.load(Ordering::Relaxed))
+    }
+
+    /// Frees the graph memo once no run under this incumbent follows.
+    pub(crate) fn forget_graphs(&self) {
+        *self.memo.lock() = GraphMemo::default();
     }
 }
 
@@ -57,14 +80,16 @@ impl Default for Incumbent {
 /// A pruning cutoff handed to the OoO scheduler: the layer's shared
 /// incumbent plus the metric scoring partial schedules against it.
 ///
-/// Latency and transferred bytes only grow as a schedule commits steps,
-/// so for a monotone metric the running score of a partial schedule
-/// never exceeds its final score — once it *strictly* exceeds the
-/// incumbent the candidate provably cannot win (nor tie), and the run
-/// aborts with [`crate::SchedError::Pruned`]. Strictness is what keeps
-/// pruning exact: a candidate tying the incumbent is still scheduled to
-/// completion, preserving the exhaustive search's first-in-work-order
-/// tie-break. The same strictness makes *seeding* the incumbent with
+/// After each committed step the scheduler scores a cost-to-go bound
+/// of the partial schedule: a `(latency, transfer_bytes)` pair no
+/// completion can beat in either component (the committed cost plus
+/// the compulsory transfers and compute still ahead). For a monotone
+/// metric its score never exceeds the final score — once it
+/// *strictly* exceeds the incumbent the candidate provably cannot win
+/// (nor tie), and the run aborts with [`crate::SchedError::Pruned`].
+/// Strictness is what keeps pruning exact: a candidate tying the
+/// incumbent is still scheduled to completion, preserving the
+/// exhaustive search's first-in-work-order tie-break. The same strictness makes *seeding* the incumbent with
 /// an analytically found schedule winner-neutral: a seeded cutoff can
 /// only skip candidates that provably lose to a schedule the search
 /// itself would also have found and preferred.
@@ -86,7 +111,23 @@ impl<'a> Cutoff<'a> {
     /// incumbent.
     #[must_use]
     pub fn exceeded(&self, latency: u64, transfer_bytes: u64) -> bool {
-        self.metric.score(latency, transfer_bytes) > self.incumbent.get()
+        self.score(latency, transfer_bytes) > self.incumbent.get()
+    }
+
+    /// The metric's score of `(latency, transfer_bytes)`.
+    pub(crate) fn score(&self, latency: u64, transfer_bytes: u64) -> f64 {
+        self.metric.score(latency, transfer_bytes)
+    }
+
+    /// The outcome a fresh run of `key` would have now, if the
+    /// incumbent's graph memo knows it.
+    pub(crate) fn recall(&self, key: &RunKey) -> Option<Result<RunResult, SchedError>> {
+        self.incumbent.memo.lock().recall(key, self)
+    }
+
+    /// Records how a run of `key` ended in the incumbent's graph memo.
+    pub(crate) fn record(&self, key: RunKey, result: &Result<RunResult, SchedError>) {
+        self.incumbent.memo.lock().record(key, result, self);
     }
 }
 

@@ -34,6 +34,13 @@ pub(crate) struct ExecState<'a> {
     builder: ScheduleBuilder,
     scheduled: Vec<bool>,
     remaining: usize,
+    /// Compute cycles of the unscheduled ops.
+    compute_left: u64,
+    /// DMA cycles and DRAM bytes of the compulsory transfers not yet
+    /// issued: each input and weight tile's first load and each output
+    /// tile's final store.
+    compulsory_dma_left: u64,
+    compulsory_bytes_left: u64,
     commands: Vec<Command>,
     stats: SearchStats,
 }
@@ -45,7 +52,15 @@ impl<'a> ExecState<'a> {
         perf: &'a dyn PerfModel,
         spill: &'a dyn SpillPolicy,
     ) -> Self {
-        let uses = dfg.tiles().map(|t| (t, dfg.initial_uses(t))).collect();
+        let uses: BTreeMap<TileId, u32> = dfg.tiles().map(|t| (t, dfg.initial_uses(t))).collect();
+        // Saturating: an adversarial DRAM latency must surface as the
+        // timeline's typed overflow error, not as a panic here.
+        let (mut compulsory_dma_left, mut compulsory_bytes_left) = (0u64, 0u64);
+        for (&tile, _) in uses.iter().filter(|(_, &n)| n > 0) {
+            let (cycles, dram) = compulsory_transfer(dfg, perf, tile);
+            compulsory_dma_left = compulsory_dma_left.saturating_add(cycles);
+            compulsory_bytes_left = compulsory_bytes_left.saturating_add(dram);
+        }
         Self {
             dfg,
             perf,
@@ -59,6 +74,12 @@ impl<'a> ExecState<'a> {
             builder: ScheduleBuilder::new(arch.cores()),
             scheduled: vec![false; dfg.num_ops()],
             remaining: dfg.num_ops(),
+            compute_left: dfg
+                .ops()
+                .iter()
+                .fold(0, |sum, op| sum.saturating_add(op.latency())),
+            compulsory_dma_left,
+            compulsory_bytes_left,
             commands: Vec::new(),
             stats: SearchStats::default(),
         }
@@ -87,14 +108,41 @@ impl<'a> ExecState<'a> {
         self.remaining
     }
 
-    /// Running `(latency, transfer_bytes)` of the partial schedule.
-    /// Both components are monotone over committed sets, so the pair
-    /// lower-bounds the finished schedule's cost — the basis of the
-    /// branch-and-bound early exit.
-    pub(crate) fn running_cost(&self) -> (u64, u64) {
+    /// `(latency, transfer_bytes)` of the committed partial schedule.
+    pub(crate) fn committed_cost(&self) -> (u64, u64) {
         (
             self.builder.timeline().horizon(),
             self.builder.transfer_bytes(),
+        )
+    }
+
+    /// An admissible cost-to-go bound: a `(latency, transfer_bytes)`
+    /// pair that no completion of the partial schedule can beat in
+    /// either component — the basis of the branch-and-bound early exit.
+    ///
+    /// * Latency is at least the current horizon; at least the DMA
+    ///   channel's free cycle plus the cycles of every compulsory
+    ///   transfer not yet issued (the channel is serial and appends);
+    ///   and at least the cores' summed free cycles plus the remaining
+    ///   compute, spread evenly over the cores (compute appends per
+    ///   core too).
+    /// * Transfer is the bytes already moved plus the compulsory bytes
+    ///   not yet moved.
+    ///
+    /// After the last commit nothing remains and the bound equals the
+    /// finished schedule's cost. Arithmetic saturates.
+    pub(crate) fn running_cost(&self) -> (u64, u64) {
+        let (horizon, moved) = self.committed_cost();
+        let timeline = self.builder.timeline();
+        let dma = timeline.dma_free().saturating_add(self.compulsory_dma_left);
+        let compute = (0..self.cores)
+            .fold(self.compute_left, |sum, c| {
+                sum.saturating_add(timeline.core_free(c))
+            })
+            .div_ceil(u64::from(self.cores));
+        (
+            horizon.max(dma).max(compute),
+            moved.saturating_add(self.compulsory_bytes_left),
         )
     }
 
@@ -236,6 +284,14 @@ impl<'a> ExecState<'a> {
                     }
                     continue;
                 }
+                // A loaded tile is read by an op of this set, so a tile
+                // no op has read yet loads for the first time: its
+                // compulsory transfer.
+                if tile.kind() != TileKind::Output
+                    && self.uses.get(tile) == Some(&self.dfg.initial_uses(*tile))
+                {
+                    self.issue_compulsory(*tile);
+                }
                 let class = match tile.kind() {
                     TileKind::Input => TrafficClass::Input,
                     TileKind::Weight => TrafficClass::Weight,
@@ -343,6 +399,7 @@ impl<'a> ExecState<'a> {
                 }
                 self.scheduled[id.index()] = true;
                 self.remaining -= 1;
+                self.compute_left = self.compute_left.saturating_sub(op.latency());
                 if let Some(succ) = self.dfg.succ(id) {
                     woken.push(succ);
                 }
@@ -351,6 +408,7 @@ impl<'a> ExecState<'a> {
                 // output tensor is scattered into the reserved SPM
                 // region instead — same DMA occupancy, zero DRAM bytes.
                 if op.is_final() {
+                    self.issue_compulsory(op.output());
                     let bytes = self.dfg.tile_bytes(op.output());
                     let address = self.spm.address_of(op.output()).expect("output resident");
                     if self.dfg.residency().output_resident {
@@ -402,6 +460,13 @@ impl<'a> ExecState<'a> {
         result
     }
 
+    /// Takes `tile`'s compulsory transfer off the cost-to-go.
+    fn issue_compulsory(&mut self, tile: TileId) {
+        let (cycles, dram) = compulsory_transfer(self.dfg, self.perf, tile);
+        self.compulsory_dma_left = self.compulsory_dma_left.saturating_sub(cycles);
+        self.compulsory_bytes_left = self.compulsory_bytes_left.saturating_sub(dram);
+    }
+
     /// Finalizes the schedule and its lowered command program.
     ///
     /// # Panics
@@ -409,7 +474,22 @@ impl<'a> ExecState<'a> {
     /// Panics (in debug builds) if operations remain unscheduled.
     pub(crate) fn finish(self) -> (Schedule, Program) {
         debug_assert_eq!(self.remaining, 0, "unscheduled operations remain");
+        debug_assert_eq!(self.running_cost(), self.committed_cost());
         let program = Program::new(self.spm.capacity(), self.cores, self.commands);
         (self.builder.finish(), program)
     }
+}
+
+/// DMA cycles and DRAM bytes of `tile`'s compulsory transfer: an input
+/// or weight tile's first load, an output tile's final store. A
+/// resident tensor's transfer occupies the DMA channel but moves no
+/// DRAM bytes.
+fn compulsory_transfer(dfg: &Dfg, perf: &dyn PerfModel, tile: TileId) -> (u64, u64) {
+    let bytes = dfg.tile_bytes(tile);
+    let resident = match tile.kind() {
+        TileKind::Input => dfg.residency().input_resident,
+        TileKind::Weight => false,
+        TileKind::Output => dfg.residency().output_resident,
+    };
+    (perf.dma_cycles(bytes), if resident { 0 } else { bytes })
 }

@@ -4,6 +4,7 @@ use crate::bound::Cutoff;
 use crate::combo::{generate_sets_baseline, generate_sets_into, ComboOptions, ComboScratch};
 use crate::error::SchedError;
 use crate::exec::ExecState;
+use crate::memo::{RunKey, RunResult};
 use crate::priority::{EvalScratch, PriorityPolicy, SetEvaluation};
 use crate::program::Program;
 use crate::stats::SearchStats;
@@ -136,11 +137,13 @@ impl<'a> OooScheduler<'a> {
     }
 
     /// Installs a branch-and-bound cutoff: the run aborts with
-    /// [`SchedError::Pruned`] as soon as its running score strictly
-    /// exceeds the cutoff's incumbent. Latency and transferred bytes
-    /// only grow per committed step, so an aborted candidate provably
-    /// could not have produced a schedule scoring at or below the
-    /// incumbent.
+    /// [`SchedError::Pruned`] as soon as the score of its cost-to-go
+    /// bound strictly exceeds the cutoff's incumbent. The bound never
+    /// exceeds the finished schedule's latency or transferred bytes,
+    /// so an aborted candidate provably could not have produced a
+    /// schedule scoring at or below the incumbent. The cutoff also
+    /// arms the incumbent's graph memo (see
+    /// [`OooScheduler::schedule_traced`]).
     #[must_use]
     pub fn with_cutoff(mut self, cutoff: Cutoff<'a>) -> Self {
         self.cutoff = Some(cutoff);
@@ -188,6 +191,14 @@ impl<'a> OooScheduler<'a> {
     /// [`flexer_trace::TraceDetail::Memory`]. On a disabled lane this
     /// is exactly [`OooScheduler::schedule_with_stats`].
     ///
+    /// Under a [`Cutoff`], and unless the lane records steps, the run
+    /// goes through the incumbent's graph memo: a graph the incumbent
+    /// saw before (same [`Dfg::graph_key`] and scheduler knobs) is
+    /// answered as a fresh run would be now — `Pruned` if it was
+    /// pruned or completed strictly above the incumbent, otherwise its
+    /// stored result with the counters kept and the timers zeroed, or
+    /// a real run if that result was dropped.
+    ///
     /// # Errors
     ///
     /// As [`OooScheduler::schedule`].
@@ -195,6 +206,35 @@ impl<'a> OooScheduler<'a> {
         &self,
         lane: &mut Lane,
     ) -> Result<(Schedule, Program, SearchStats), SchedError> {
+        // Graph memo (DESIGN.md §10): under a cutoff, a run's outcome
+        // is a function of its graph, its knobs and the incumbent, so a
+        // graph the layer already scheduled is answered from the
+        // incumbent's memo. A lane recording steps needs the real run.
+        let Some(cutoff) = self.cutoff.filter(|_| !lane.records(TraceDetail::Steps)) else {
+            return self.run(lane, &mut |_| {});
+        };
+        let key = RunKey {
+            graph: self.dfg.graph_key(),
+            spill: self.spill.name(),
+            priority: self.priority,
+            combo: self.combo,
+            eval_mode: self.eval_mode,
+        };
+        if let Some(outcome) = cutoff.recall(&key) {
+            return outcome;
+        }
+        let result = self.run(lane, &mut |_| {});
+        cutoff.record(key, &result);
+        result
+    }
+
+    /// One scheduler run; `on_commit` sees the state after every
+    /// committed step.
+    fn run(
+        &self,
+        lane: &mut Lane,
+        on_commit: &mut dyn FnMut(&ExecState<'_>),
+    ) -> Result<RunResult, SchedError> {
         let mut stats = SearchStats::default();
         let mut state = ExecState::new(self.dfg, self.arch, self.perf, self.spill);
         let mut ready: BTreeSet<OpId> = self.dfg.initial_ready().collect();
@@ -341,9 +381,11 @@ impl<'a> OooScheduler<'a> {
                 }
             };
             stats.commit_nanos += commit_start.elapsed().as_nanos() as u64;
-            // Branch-and-bound early exit: the partial schedule's cost
-            // only grows from here, so once it strictly exceeds the
-            // incumbent this candidate cannot win (nor tie).
+            on_commit(&state);
+            // Branch-and-bound early exit: no completion of the partial
+            // schedule beats its cost-to-go bound, so once the bound
+            // strictly exceeds the incumbent this candidate cannot win
+            // (nor tie).
             if let Some(cutoff) = &self.cutoff {
                 let (latency, transfer) = state.running_cost();
                 if cutoff.exceeded(latency, transfer) {
@@ -540,6 +582,59 @@ mod tests {
         // An unbeatable incumbent aborts the run as Pruned.
         inc.observe(0.0);
         assert!(matches!(guarded.schedule(), Err(SchedError::Pruned)));
+    }
+
+    #[test]
+    fn cost_to_go_bound_is_admissible_and_exact_at_the_end() {
+        use crate::search::{SchedulerKind, SearchOptions};
+        use flexer_tiling::enumerate_tilings;
+        let opts = SearchOptions::quick();
+        let mut tighter_at_step_one = 0;
+        for arch in [ArchConfig::preset(ArchPreset::Arch5), ArchConfig::hetero1()] {
+            let model = SystolicModel::new(&arch);
+            for net in [
+                "squeezenet",
+                "resnet50",
+                "mobilenet",
+                "transformer",
+                "firenet",
+            ] {
+                let net = flexer_model::networks::by_name(net).unwrap();
+                let mut leaders = std::collections::HashSet::new();
+                for layer in net.layers() {
+                    if !leaders.insert(opts.memo_key(layer, &arch, SchedulerKind::Ooo)) {
+                        continue;
+                    }
+                    // The first viable tiling under every dataflow.
+                    let factors = enumerate_tilings(layer, &arch, &opts.tiling)[0];
+                    for dataflow in Dataflow::all() {
+                        let dfg = Dfg::build(layer, factors, dataflow, &model, &arch).unwrap();
+                        let mut trail = Vec::new();
+                        let (schedule, _, _) = OooScheduler::new(&dfg, &arch, &model)
+                            .run(&mut Lane::off(), &mut |state| {
+                                trail.push((state.running_cost(), state.committed_cost()));
+                            })
+                            .unwrap();
+                        let done = (schedule.latency(), schedule.transfer_bytes());
+                        for &((latency, transfer), _) in &trail {
+                            assert!(
+                                latency <= done.0 && transfer <= done.1,
+                                "{} {dataflow:?}: bound {:?} beats the schedule's {done:?}",
+                                layer.name(),
+                                (latency, transfer),
+                            );
+                        }
+                        assert_eq!(trail.last().unwrap().0, done, "{}", layer.name());
+                        let (bound, committed) = trail[0];
+                        assert!(bound.0 >= committed.0 && bound.1 >= committed.1);
+                        if bound != committed {
+                            tighter_at_step_one += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(tighter_at_step_one > 0);
     }
 
     #[test]

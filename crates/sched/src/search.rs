@@ -696,6 +696,15 @@ fn search_many_traced(
         lane0.attr("prune", prune_enabled);
     }
     let incumbents: Vec<Incumbent> = layers.iter().map(|_| Incumbent::new()).collect();
+    // Work items left per layer: once a layer's last item resolves,
+    // nothing reads its graph memo again, so it is freed early.
+    let unresolved: Vec<AtomicUsize> = roles
+        .iter()
+        .map(|role| match *role {
+            Role::Leader { span: (start, end) } => AtomicUsize::new(end - start),
+            _ => AtomicUsize::new(0),
+        })
+        .collect();
     let mut bounds: Vec<f64> = Vec::new();
     let mut bound_nanos: Vec<u64> = vec![0; layers.len()];
     let mut exec_order: Vec<usize> = (0..work.len()).collect();
@@ -838,6 +847,9 @@ fn search_many_traced(
         };
         if let Some(guard) = span {
             lane.exit(guard);
+        }
+        if unresolved[li].fetch_sub(1, Ordering::Relaxed) == 1 {
+            incumbents[li].forget_graphs();
         }
         (outcome, lane)
     };

@@ -167,6 +167,20 @@ impl SearchStats {
             .collect()
     }
 
+    /// These counters with every wall-clock duration zeroed.
+    #[must_use]
+    pub(crate) fn without_timers(self) -> Self {
+        Self {
+            gen_nanos: 0,
+            eval_nanos: 0,
+            commit_nanos: 0,
+            verify_nanos: 0,
+            bound_nanos: 0,
+            seed_nanos: 0,
+            ..self
+        }
+    }
+
     /// Accumulates `other` into `self`, field by field. The exhaustive
     /// destructuring keeps it in lock-step with the struct definition.
     pub fn merge(&mut self, other: &SearchStats) {
@@ -326,6 +340,17 @@ mod tests {
         a.merge(&b);
         for ((name, merged, _), (_, single, _)) in a.fields().into_iter().zip(b.fields()) {
             assert_eq!(merged, single * 2, "field {name} not additive");
+        }
+    }
+
+    #[test]
+    fn without_timers_zeroes_exactly_the_durations() {
+        let s = sequential();
+        for ((name, kept, kind), (_, value, _)) in
+            s.without_timers().fields().into_iter().zip(s.fields())
+        {
+            let expected = if kind == StatKind::Nanos { 0 } else { value };
+            assert_eq!(kept, expected, "field {name}");
         }
     }
 

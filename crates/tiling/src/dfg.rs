@@ -42,6 +42,19 @@ impl fmt::Display for TilingError {
 
 impl Error for TilingError {}
 
+/// A compact, exact identity of a [`Dfg`]'s operation sequence among
+/// the DFGs of one layer on one architecture (see [`Dfg::graph_key`]).
+///
+/// Two DFGs of the same layer with equal keys are equal in every field
+/// except the [`Dataflow`] label they were built for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct GraphKey {
+    factors: TilingFactors,
+    residency: Residency,
+    /// The loops that order the ops, outermost first.
+    order: [Option<LoopDim>; 3],
+}
+
 /// The data-flow graph of one tiled layer (paper §3).
 ///
 /// Nodes are tiled convolutions [`TiledOp`]; the only edges are the
@@ -265,6 +278,62 @@ impl Dfg {
     #[must_use]
     pub fn dataflow(&self) -> Dataflow {
         self.dataflow
+    }
+
+    /// The graph's [`GraphKey`]: the tiling factors, the residency and
+    /// the dataflow's loop order with unit-extent loops dropped.
+    ///
+    /// A loop that runs once does not change the order of the loops
+    /// around it, so dataflows whose remaining loops agree enumerate
+    /// the same op sequence and build the same graph. A grouped layer
+    /// only runs the `k == c` diagonal, so its `C` loop steps with `K`
+    /// and the first of the two orders the ops.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use flexer_arch::{ArchConfig, ArchPreset, SystolicModel};
+    /// use flexer_model::ConvLayer;
+    /// use flexer_tiling::{Dataflow, Dfg, TilingFactors};
+    ///
+    /// let layer = ConvLayer::new("c", 32, 16, 16, 32)?;
+    /// let arch = ArchConfig::preset(ArchPreset::Arch1);
+    /// let model = SystolicModel::new(&arch);
+    /// // One input-channel tile: the C loop runs once.
+    /// let factors = TilingFactors::normalized(&layer, 2, 1, 2, 2);
+    /// let kcs = Dfg::build(&layer, factors, Dataflow::Kcs, &model, &arch)?;
+    /// let ksc = Dfg::build(&layer, factors, Dataflow::Ksc, &model, &arch)?;
+    /// let skc = Dfg::build(&layer, factors, Dataflow::Skc, &model, &arch)?;
+    /// assert_eq!(kcs.graph_key(), ksc.graph_key());
+    /// assert_ne!(kcs.graph_key(), skc.graph_key());
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
+    #[must_use]
+    pub fn graph_key(&self) -> GraphKey {
+        let grouped = self.layer.kind().is_grouped();
+        let extent = |dim: LoopDim| match dim {
+            LoopDim::K => self.factors.k(),
+            LoopDim::C => self.factors.c(),
+            LoopDim::S => self.factors.spatial(),
+        };
+        let mut order = [None; 3];
+        let mut n = 0;
+        for dim in self.dataflow.order() {
+            let dim = if grouped && dim == LoopDim::C {
+                LoopDim::K
+            } else {
+                dim
+            };
+            if extent(dim) > 1 && !order[..n].contains(&Some(dim)) {
+                order[n] = Some(dim);
+                n += 1;
+            }
+        }
+        GraphKey {
+            factors: self.factors,
+            residency: self.residency,
+            order,
+        }
     }
 
     /// All operations, in static loop order (ascending [`OpId`]).
@@ -712,6 +781,61 @@ mod tests {
         for tile in a.tiles() {
             assert_eq!(a.tile_bytes(tile), b.tile_bytes(tile), "{tile}");
         }
+    }
+
+    /// The distinct graph keys over the six dataflows, after checking
+    /// that equal keys build equal graphs.
+    fn distinct_graph_keys(l: &ConvLayer, k: u32, c: u32, h: u32, w: u32) -> usize {
+        let dfgs: Vec<Dfg> = Dataflow::all()
+            .into_iter()
+            .map(|d| build(l, k, c, h, w, d))
+            .collect();
+        let mut keys = Vec::new();
+        for a in &dfgs {
+            for b in &dfgs {
+                if a.graph_key() == b.graph_key() {
+                    assert_eq!(a.ops(), b.ops(), "{} vs {}", a.dataflow(), b.dataflow());
+                    assert_eq!((&a.pred, &a.succ), (&b.pred, &b.succ));
+                }
+            }
+            if !keys.contains(&a.graph_key()) {
+                keys.push(a.graph_key());
+            }
+        }
+        keys.len()
+    }
+
+    #[test]
+    fn graph_key_drops_unit_loops_and_nothing_else() {
+        let l = layer();
+        assert_eq!(distinct_graph_keys(&l, 2, 2, 2, 1), 6);
+        // One loop runs once: two orders of the other two remain.
+        assert_eq!(distinct_graph_keys(&l, 1, 2, 2, 1), 2);
+        assert_eq!(distinct_graph_keys(&l, 2, 1, 2, 2), 2);
+        assert_eq!(distinct_graph_keys(&l, 2, 2, 1, 1), 2);
+        assert_eq!(distinct_graph_keys(&l, 1, 1, 1, 1), 1);
+        // A grouped layer's C loop steps with K.
+        let g = grouped_layer(8);
+        assert_eq!(distinct_graph_keys(&g, 4, 4, 2, 2), 2);
+        assert_eq!(distinct_graph_keys(&g, 4, 4, 1, 1), 1);
+        // Other tilings and residencies never share a key.
+        let a = build(&l, 2, 2, 2, 1, Dataflow::Kcs);
+        let b = build(&l, 2, 2, 1, 2, Dataflow::Kcs);
+        assert_ne!(a.graph_key(), b.graph_key());
+        let arch = ArchConfig::preset(ArchPreset::Arch1);
+        let resident = Dfg::build_resident(
+            &l,
+            a.factors(),
+            Dataflow::Kcs,
+            &SystolicModel::new(&arch),
+            &arch,
+            Residency {
+                input_resident: true,
+                output_resident: false,
+            },
+        )
+        .unwrap();
+        assert_ne!(a.graph_key(), resident.graph_key());
     }
 
     #[test]

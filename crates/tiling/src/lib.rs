@@ -48,7 +48,7 @@ mod tile;
 
 pub use compulsory::{compute_envelope, CompulsoryTiles, ComputeEnvelope};
 pub use dataflow::Dataflow;
-pub use dfg::{Dfg, TilingError};
+pub use dfg::{Dfg, GraphKey, TilingError};
 pub use factors::{enumerate_tilings, estimate_metric, TilingFactors, TilingOptions};
 pub use op::{OpId, TiledOp};
 pub use residency::Residency;

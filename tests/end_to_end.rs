@@ -80,6 +80,41 @@ fn scheduling_is_deterministic_across_runs_and_threads() {
 }
 
 #[test]
+fn graph_memo_keeps_winners_across_threads_and_counters_across_runs() {
+    // Full-size SqueezeNet, where most work items share a graph with
+    // another dataflow. Winners never depend on the thread count. The
+    // merged counters repeat exactly on one thread; on two, the
+    // incumbent race decides which candidates complete, with or
+    // without the memo.
+    let run = |threads| {
+        let opts = SearchOptions {
+            threads,
+            ..SearchOptions::quick()
+        };
+        Flexer::new(ArchConfig::preset(ArchPreset::Arch5))
+            .with_options(opts)
+            .schedule_network(&networks::squeezenet())
+            .unwrap()
+    };
+    let (serial, again, parallel) = (run(1), run(1), run(2));
+    for ((a, b), c) in serial
+        .layers()
+        .iter()
+        .zip(again.layers())
+        .zip(parallel.layers())
+    {
+        let winner =
+            |l: &flexer_sched::LayerSearchResult| (l.factors, l.dataflow, l.schedule.clone());
+        assert_eq!(winner(a), winner(b), "{}", a.layer);
+        assert_eq!(winner(a), winner(c), "{}", a.layer);
+    }
+    assert_eq!(
+        serial.total_stats().deterministic_fields(),
+        again.total_stats().deterministic_fields()
+    );
+}
+
+#[test]
 fn comparison_reports_are_consistent() {
     let net = Network::new(
         "t",

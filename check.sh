@@ -17,6 +17,14 @@ cargo test -q --test property_schedules regression_seed
 # Trace gate: golden span tree, Chrome schema, thread-count invariance.
 cargo test -q --test trace_pipeline
 ./target/release/verify
+# bench_json writes its reports to the committed BENCH_PR*.json by
+# default; a gate run writes them under a gitignored directory instead.
+bench_out=.bench-ci
+mkdir -p "$bench_out"
+export FLEXER_BENCH_OUT="$bench_out/BENCH_PR1.json"
+for pr in 3 4 5 6 8 9 10; do
+    export "FLEXER_BENCH_OUT_PR$pr=$bench_out/BENCH_PR$pr.json"
+done
 # Branch-and-bound gate: pruned and exhaustive searches must agree
 # (asserted inside bench_json) while the pruned one is faster. Also
 # emits a sample search trace (validated on write) as a CI artifact.
@@ -114,7 +122,7 @@ rm -rf .fleet-smoke-ci
 # anti-entropy the fleet's aggregate warm-hit throughput over one
 # connection per node must strictly beat the single node — both
 # hard-asserted inside bench_json --fleet, which exits non-zero (and
-# prints no "fleet gate" lines) on violation. Emits BENCH_PR10.json.
+# prints no "fleet gate" lines) on violation. Emits $bench_out/BENCH_PR10.json.
 fleet_out="$(./target/release/bench_json --fleet)"
 echo "$fleet_out"
 if [ "$(grep -c '^fleet gate ' <<<"$fleet_out")" -lt 2 ]; then

@@ -86,77 +86,65 @@ pub(crate) struct ComboScratch {
     ranked: Vec<(u64, OpId)>,
     /// Current combination's candidate indices.
     idx: Vec<usize>,
-    /// Current combination's (sorted) operation set.
-    set: Vec<OpId>,
-    /// Dataflow classes already represented this call.
+    /// Seen dataflow classes, by their canonical encoding.
     seen: FnvSet<DataflowClass>,
-    /// Classification scratch: the set's operand tiles, sorted so
-    /// sharing degrees fall out of a run-length pass (a flat vector —
-    /// a reused `BTreeMap` would still allocate tree nodes on every
-    /// rebuild, and per-element sorted insertion measures ~4x slower
-    /// than sort-then-scan at these sizes).
-    tiles: Vec<(TileId, bool)>,
-    /// Operand triples of the ranked candidates with their residency,
+    /// Operand codes (see [`tile_code`]) of the ranked candidates,
     /// prefetched once per call so the inner loop never touches the
     /// graph or re-answers a residency query.
-    cands: Vec<[(TileId, bool); 3]>,
+    cands: Vec<[u64; 3]>,
     /// Sorted snapshot of every tile resident in the memory, taken
     /// once per call: `SpmMemory::contains` is a linear block scan,
     /// far too expensive to repeat for every tile of every candidate
     /// and combination. Residency cannot change mid-call (the memory
     /// is held by `&`), so one snapshot answers every query.
     resident: Vec<TileId>,
-    /// Classification scratch: degree multisets by (kind, reused/new).
-    buckets: [[Vec<u8>; 2]; 3],
+    /// Classification scratch: the current combination's operand codes.
+    codes: Vec<u64>,
     /// Classification scratch: the canonical encoding.
     class_buf: Vec<u8>,
 }
 
-/// Computes the canonical class encoding of the `(tile, resident)`
-/// operand pairs already collected in `tiles` into `out`, reusing the
-/// `buckets` scratch. Residency travels with each tile, so no lookup
-/// of any kind happens here.
-fn classify_tiles(
-    tiles: &mut [(TileId, bool)],
-    buckets: &mut [[Vec<u8>; 2]; 3],
-    out: &mut Vec<u8>,
-) {
-    // Sharing degree of every distinct tile the set references: sort
-    // the (tiny) operand list and count runs in ascending tile order.
-    // Duplicate tiles carry equal residency flags, so pair order
-    // within a run is immaterial.
-    tiles.sort_unstable();
-    // Bucket by (kind, reused/new), keeping degree multisets sorted.
-    let kind_index = |k: TileKind| match k {
-        TileKind::Input => 0usize,
+/// Bit position of the class bucket in a [`tile_code`]; the bits
+/// below hold the tile's dense index, so no tile count overflows them.
+const BUCKET_SHIFT: u32 = 61;
+
+/// Packs one operand into an integer: its class bucket — `(kind,
+/// reused/new)`, in [`DataflowClass`] order — in the top bits above
+/// `dfg`'s dense index of the tile within its kind. Equal codes mean
+/// the same tile, and sorting codes groups them by bucket.
+fn tile_code(dfg: &Dfg, tile: TileId, resident: bool) -> u64 {
+    let kind = match tile.kind() {
+        TileKind::Input => 0u64,
         TileKind::Weight => 1,
         TileKind::Output => 2,
     };
-    for kind in buckets.iter_mut() {
-        for bucket in kind {
-            bucket.clear();
-        }
-    }
-    let mut i = 0;
-    while i < tiles.len() {
-        let (tile, resident) = tiles[i];
-        let mut degree = 0u8;
-        while i < tiles.len() && tiles[i].0 == tile {
-            degree += 1;
-            i += 1;
-        }
-        let reused = usize::from(!resident);
-        buckets[kind_index(tile.kind())][reused].push(degree);
-    }
-    // Canonical encoding: per bucket its sorted degrees behind a
-    // length byte.
+    let bucket = kind * 2 + u64::from(!resident);
+    (bucket << BUCKET_SHIFT) | dfg.tile_index(tile) as u64
+}
+
+/// Computes the canonical class encoding of the operand codes in
+/// `codes` into `out`: per (kind, reused/new) bucket, the number of
+/// distinct tiles followed by their sorted sharing degrees.
+fn classify_codes(codes: &mut [u64], out: &mut Vec<u8>) {
+    // Sorting groups the codes by bucket, and equal tiles into runs
+    // whose lengths are the sharing degrees.
+    codes.sort_unstable();
     out.clear();
-    for kind in buckets.iter_mut() {
-        for bucket in kind {
-            bucket.sort_unstable();
-            out.push(bucket.len() as u8);
-            out.extend_from_slice(bucket);
+    let mut i = 0;
+    for bucket in 0..6 {
+        let len_at = out.len();
+        out.push(0);
+        while i < codes.len() && codes[i] >> BUCKET_SHIFT == bucket {
+            let code = codes[i];
+            let mut degree = 0u8;
+            while i < codes.len() && codes[i] == code {
+                degree += 1;
+                i += 1;
+            }
+            out.push(degree);
         }
+        out[len_at] = (out.len() - len_at - 1) as u8;
+        out[len_at + 1..].sort_unstable();
     }
 }
 
@@ -164,13 +152,13 @@ fn classify_tiles(
 /// state of `spm`.
 #[must_use]
 pub fn dataflow_class(dfg: &Dfg, spm: &SpmMemory, ops: &[OpId]) -> DataflowClass {
-    let mut tiles = Vec::new();
-    for &id in ops {
-        tiles.extend(dfg.op(id).operands().map(|t| (t, spm.contains(t))));
-    }
-    let mut buckets: [[Vec<u8>; 2]; 3] = Default::default();
+    let mut codes: Vec<u64> = ops
+        .iter()
+        .flat_map(|&id| dfg.op(id).operands())
+        .map(|t| tile_code(dfg, t, spm.contains(t)))
+        .collect();
     let mut encoding = Vec::with_capacity(16);
-    classify_tiles(&mut tiles, &mut buckets, &mut encoding);
+    classify_codes(&mut codes, &mut encoding);
     DataflowClass(encoding)
 }
 
@@ -310,27 +298,29 @@ pub(crate) fn generate_sets_into(
     ranked.sort_unstable_by_key(|&(bytes, id)| (std::cmp::Reverse(bytes), id));
     ranked.truncate(options.width_cap.max(set_size));
 
-    // Prefetch each candidate's operand triple with its residency, so
-    // the inner loop indexes a flat array instead of chasing into the
-    // graph or binary-searching the snapshot per tile.
+    // Prefetch each candidate's operand codes, so the inner loop
+    // indexes a flat array instead of chasing into the graph or
+    // binary-searching the snapshot per tile.
     let cands = &mut scratch.cands;
     cands.clear();
     cands.extend(ranked.iter().map(|&(_, id)| {
         let op = dfg.op(id);
-        let tag = |t: TileId| (t, resident.binary_search(&t).is_ok());
-        [tag(op.input()), tag(op.weight()), tag(op.output())]
+        let code = |t: TileId| tile_code(dfg, t, resident.binary_search(&t).is_ok());
+        [code(op.input()), code(op.weight()), code(op.output())]
     }));
+    let ranked = &scratch.ranked;
 
     let mut produced = 0usize;
-    // Appends the current combination to `out`, recycling a spare
-    // inner vector when one is available.
-    let keep = |set: &[OpId], out: &mut Vec<Vec<OpId>>, produced: &mut usize| {
-        if let Some(slot) = out.get_mut(*produced) {
-            slot.clear();
-            slot.extend_from_slice(set);
-        } else {
-            out.push(set.to_vec());
+    // Appends the combination `idx` to `out` as a sorted operation
+    // set, recycling a spare inner vector when one is available.
+    let keep = |idx: &[usize], out: &mut Vec<Vec<OpId>>, produced: &mut usize| {
+        if *produced == out.len() {
+            out.push(Vec::with_capacity(set_size));
         }
+        let slot = &mut out[*produced];
+        slot.clear();
+        slot.extend(idx.iter().map(|&i| ranked[i].1));
+        slot.sort_unstable();
         *produced += 1;
     };
     scratch.seen.clear();
@@ -343,19 +333,12 @@ pub(crate) fn generate_sets_into(
     loop {
         examined += 1;
         stats.sets_generated += 1;
-        scratch.set.clear();
-        scratch.set.extend(scratch.idx.iter().map(|&i| ranked[i].1));
-        scratch.set.sort_unstable();
         if options.prune {
-            scratch.tiles.clear();
-            for &i in scratch.idx.iter() {
-                scratch.tiles.extend_from_slice(&cands[i]);
+            scratch.codes.clear();
+            for &i in &scratch.idx {
+                scratch.codes.extend_from_slice(&scratch.cands[i]);
             }
-            classify_tiles(
-                &mut scratch.tiles,
-                &mut scratch.buckets,
-                &mut scratch.class_buf,
-            );
+            classify_codes(&mut scratch.codes, &mut scratch.class_buf);
             // Duplicates cost no allocation: the encoding buffer is
             // looked up as a slice and only cloned when new.
             if scratch.seen.contains(scratch.class_buf.as_slice()) {
@@ -364,10 +347,10 @@ pub(crate) fn generate_sets_into(
                 scratch
                     .seen
                     .insert(DataflowClass(scratch.class_buf.clone()));
-                keep(&scratch.set, out, &mut produced);
+                keep(&scratch.idx, out, &mut produced);
             }
         } else {
-            keep(&scratch.set, out, &mut produced);
+            keep(&scratch.idx, out, &mut produced);
         }
         if produced >= options.max_sets || examined >= options.max_combos {
             break;
@@ -395,7 +378,7 @@ pub(crate) fn generate_sets_into(
 /// The seed implementation of [`dataflow_class`], kept verbatim as
 /// part of the `CloneBaseline` reference path: a freshly allocated
 /// degree map per combination and a `contains` block scan per
-/// distinct tile. Produces encodings identical to [`classify_tiles`].
+/// distinct tile. Produces encodings identical to [`classify_codes`].
 fn dataflow_class_reference(dfg: &Dfg, spm: &SpmMemory, ops: &[OpId]) -> DataflowClass {
     // Sharing degree of every distinct tile the set references.
     let mut degrees: std::collections::BTreeMap<TileId, u8> = std::collections::BTreeMap::new();
@@ -693,37 +676,130 @@ mod tests {
         assert_eq!(out, baseline);
     }
 
-    #[test]
-    fn baseline_generation_matches_scratch_path() {
-        let (dfg, mut spm) = fixture(4, 2, 2);
-        let ready: Vec<OpId> = dfg.initial_ready().collect();
-        // Warm memory so the ranking is non-trivial.
-        let t = dfg.op(*ready.last().unwrap()).weight();
-        spm.allocate(t, dfg.tile_bytes(t), 1, &FlexerSpill).unwrap();
-        for prune in [true, false] {
-            let opts = ComboOptions {
-                prune,
-                ..ComboOptions::default()
-            };
-            let fast = generate_sets(&dfg, &spm, &ready, 2, &opts);
-            let mut stats = SearchStats::default();
-            let slow = generate_sets_baseline(&dfg, &spm, &ready, 2, &opts, &mut stats);
-            assert_eq!(fast, slow);
+    /// Runs the scratch path twice on one scratch (the second run
+    /// recycles its buffers) and the baseline once, and checks equal
+    /// sets and counters, counting one evaluation per returned set as
+    /// the scheduler does.
+    fn assert_matches_baseline(
+        dfg: &Dfg,
+        spm: &SpmMemory,
+        ready: &[OpId],
+        set_size: usize,
+        opts: &ComboOptions,
+    ) {
+        let mut slow_stats = SearchStats::default();
+        let slow = generate_sets_baseline(dfg, spm, ready, set_size, opts, &mut slow_stats);
+        slow_stats.sets_evaluated += slow.len() as u64;
+        let mut scratch = ComboScratch::default();
+        let mut out = vec![vec![OpId::new(0); 7]; 3];
+        for _ in 0..2 {
             let mut fast_stats = SearchStats::default();
-            let mut out = Vec::new();
-            let mut scratch = ComboScratch::default();
             generate_sets_into(
-                &dfg,
-                &spm,
-                &ready,
-                2,
-                &opts,
+                dfg,
+                spm,
+                ready,
+                set_size,
+                opts,
                 &mut scratch,
                 &mut out,
                 &mut fast_stats,
             );
-            assert_eq!(stats.sets_generated, fast_stats.sets_generated);
-            assert_eq!(stats.sets_pruned, fast_stats.sets_pruned);
+            fast_stats.sets_evaluated += out.len() as u64;
+            assert_eq!(out, slow, "set size {set_size}, {opts:?}");
+            assert_eq!(fast_stats.sets_generated, slow_stats.sets_generated);
+            assert_eq!(fast_stats.sets_pruned, slow_stats.sets_pruned);
+            assert_eq!(fast_stats.sets_evaluated, slow_stats.sets_evaluated);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn scratch_generation_matches_baseline_on_random_states(
+            factors in proptest::sample::select(vec![
+                (4u32, 1u32, 2u32, 1u32),
+                (4, 2, 2, 2),
+                (2, 4, 4, 2),
+                (8, 2, 2, 1),
+            ]),
+            dataflow in proptest::sample::select(Dataflow::all().to_vec()),
+            ready_mask in proptest::arbitrary::any::<u64>(),
+            resident_mask in proptest::arbitrary::any::<u64>(),
+            set_size in 1usize..=5,
+            width_cap in 1usize..=24,
+            max_sets in 1usize..=64,
+            max_combos in 1usize..=600,
+            prune in proptest::arbitrary::any::<bool>(),
+        ) {
+            let arch = ArchConfig::preset(ArchPreset::Arch5);
+            let layer = ConvLayer::new("p", 32, 8, 8, 32).unwrap();
+            let (k, c, h, w) = factors;
+            let dfg = Dfg::build(
+                &layer,
+                TilingFactors::normalized(&layer, k, c, h, w),
+                dataflow,
+                &SystolicModel::new(&arch),
+                &arch,
+            )
+            .unwrap();
+            // Any sorted subset of the ops stands in for a ready queue.
+            let mut ready: Vec<OpId> = (0..dfg.num_ops().min(64) as u32)
+                .filter(|&i| ready_mask >> i & 1 == 1)
+                .map(OpId::new)
+                .collect();
+            if ready.is_empty() {
+                ready.push(OpId::new(0));
+            }
+            // Any subset of the tiles stands in for the residency state;
+            // the buffer holds them all, so nothing is spilled.
+            let mut spm = SpmMemory::new(dfg.tiles().map(|t| dfg.tile_bytes(t)).sum());
+            for (i, t) in dfg.tiles().enumerate() {
+                if resident_mask >> (i % 64) & 1 == 1 {
+                    spm.allocate(t, dfg.tile_bytes(t), 1, &FlexerSpill).unwrap();
+                }
+            }
+            let opts = ComboOptions {
+                width_cap,
+                max_combos,
+                max_sets,
+                prune,
+            };
+            assert_matches_baseline(&dfg, &spm, &ready, set_size.min(ready.len()), &opts);
+        }
+    }
+
+    #[test]
+    fn scratch_generation_matches_baseline_at_extreme_widths() {
+        // 512 ready ops whose tiles' dense indices run far past any
+        // byte, in sets up to 300 wide where tiles are shared by up to
+        // 32 ops: the packed codes set no limit on width or tile count.
+        let arch = ArchConfig::preset(ArchPreset::Arch5);
+        let layer = ConvLayer::new("w", 64, 32, 32, 256).unwrap();
+        let dfg = Dfg::build(
+            &layer,
+            TilingFactors::normalized(&layer, 32, 1, 4, 4),
+            Dataflow::Csk,
+            &SystolicModel::new(&arch),
+            &arch,
+        )
+        .unwrap();
+        let ready: Vec<OpId> = dfg.initial_ready().collect();
+        assert_eq!(ready.len(), 512);
+        let mut spm = SpmMemory::new(arch.spm_bytes() * 64);
+        for t in dfg.tiles().step_by(3) {
+            spm.allocate(t, dfg.tile_bytes(t), 1, &FlexerSpill).unwrap();
+        }
+        for set_size in [4, 24, 300] {
+            for prune in [true, false] {
+                let opts = ComboOptions {
+                    width_cap: usize::MAX,
+                    max_combos: 256,
+                    max_sets: 64,
+                    prune,
+                };
+                assert_matches_baseline(&dfg, &spm, &ready, set_size, &opts);
+            }
         }
     }
 

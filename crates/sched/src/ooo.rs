@@ -590,6 +590,7 @@ mod tests {
         use flexer_tiling::enumerate_tilings;
         let opts = SearchOptions::quick();
         let mut tighter_at_step_one = 0;
+        let mut reloads_tighten_mid_run = 0;
         for arch in [ArchConfig::preset(ArchPreset::Arch5), ArchConfig::hetero1()] {
             let model = SystolicModel::new(&arch);
             for net in [
@@ -609,23 +610,39 @@ mod tests {
                     let factors = enumerate_tilings(layer, &arch, &opts.tiling)[0];
                     for dataflow in Dataflow::all() {
                         let dfg = Dfg::build(layer, factors, dataflow, &model, &arch).unwrap();
+                        // Per committed step: (bound, bound without the
+                        // owed reloads, committed cost).
                         let mut trail = Vec::new();
                         let (schedule, _, _) = OooScheduler::new(&dfg, &arch, &model)
                             .run(&mut Lane::off(), &mut |state| {
-                                trail.push((state.running_cost(), state.committed_cost()));
+                                trail.push((
+                                    state.running_cost(),
+                                    state.running_cost_without_owed_reloads(),
+                                    state.committed_cost(),
+                                ));
                             })
                             .unwrap();
                         let done = (schedule.latency(), schedule.transfer_bytes());
-                        for &((latency, transfer), _) in &trail {
+                        for &(bound, without, _) in &trail {
                             assert!(
-                                latency <= done.0 && transfer <= done.1,
-                                "{} {dataflow:?}: bound {:?} beats the schedule's {done:?}",
+                                bound.0 <= done.0 && bound.1 <= done.1,
+                                "{} {dataflow:?}: bound {bound:?} beats the schedule's {done:?}",
                                 layer.name(),
-                                (latency, transfer),
+                            );
+                            assert!(
+                                bound.0 >= without.0 && bound.1 >= without.1,
+                                "{} {dataflow:?}: owed reloads loosened {without:?} to {bound:?}",
+                                layer.name(),
                             );
                         }
-                        assert_eq!(trail.last().unwrap().0, done, "{}", layer.name());
-                        let (bound, committed) = trail[0];
+                        let (last, last_without, _) = *trail.last().unwrap();
+                        assert_eq!(last, done, "{}", layer.name());
+                        assert_eq!(last_without, done, "{}", layer.name());
+                        let mid = &trail[..trail.len() - 1];
+                        if mid.iter().any(|(bound, without, _)| bound != without) {
+                            reloads_tighten_mid_run += 1;
+                        }
+                        let (bound, _, committed) = trail[0];
                         assert!(bound.0 >= committed.0 && bound.1 >= committed.1);
                         if bound != committed {
                             tighter_at_step_one += 1;
@@ -635,6 +652,7 @@ mod tests {
             }
         }
         assert!(tighter_at_step_one > 0);
+        assert!(reloads_tighten_mid_run > 0);
     }
 
     #[test]

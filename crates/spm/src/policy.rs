@@ -55,28 +55,28 @@ pub struct FlexerSpill;
 impl SpillPolicy for FlexerSpill {
     fn select_victims(&self, memory: &SpmMemory, required: u64) -> Option<Vec<usize>> {
         let blocks = memory.blocks();
-        let mut best: Option<Vec<usize>> = None;
+        // The best run so far as a block range: its victims (the
+        // allocated blocks in it) are collected once, at the end.
+        let mut best: Option<(usize, usize)> = None;
         let mut min_frag = u64::MAX;
         let mut min_disadv = u64::MAX;
         let mut min_len = usize::MAX;
 
         for start in 0..blocks.len() {
-            let mut run = Vec::new();
+            let mut len = 0usize;
             let mut run_size = 0u64;
             let mut disadv = 0u64;
             for (offset, block) in blocks[start..].iter().enumerate() {
                 if !block.is_spillable() {
                     break;
                 }
-                let index = start + offset;
                 run_size += block.size();
                 disadv += block.disadvantage();
                 if !block.is_free() {
-                    run.push(index);
+                    len += 1;
                 }
                 if run_size >= required {
                     let frag = run_size - required;
-                    let len = run.len();
                     let better = frag < min_frag
                         || (frag == min_frag && disadv < min_disadv)
                         || (frag == min_frag && disadv == min_disadv && len < min_len);
@@ -84,7 +84,7 @@ impl SpillPolicy for FlexerSpill {
                         min_frag = frag;
                         min_disadv = disadv;
                         min_len = len;
-                        best = Some(run.clone());
+                        best = Some((start, start + offset));
                     }
                     // Minimal-length run for this start found; longer
                     // runs from here only add fragmentation/disadvantage.
@@ -92,7 +92,7 @@ impl SpillPolicy for FlexerSpill {
                 }
             }
         }
-        best
+        best.map(|(start, end)| (start..=end).filter(|&i| !blocks[i].is_free()).collect())
     }
 
     fn name(&self) -> &'static str {
@@ -256,6 +256,96 @@ mod tests {
         assert_eq!(v, vec![2]);
         spm.pin(t(2));
         assert!(FlexerSpill.select_victims(&spm, 64).is_none());
+    }
+
+    /// [`FlexerSpill::select_victims`] as first written: it clones the
+    /// candidate run on every improvement.
+    fn flexer_select_victims_reference(memory: &SpmMemory, required: u64) -> Option<Vec<usize>> {
+        let blocks = memory.blocks();
+        let mut best: Option<Vec<usize>> = None;
+        let mut min_frag = u64::MAX;
+        let mut min_disadv = u64::MAX;
+        let mut min_len = usize::MAX;
+
+        for start in 0..blocks.len() {
+            let mut run = Vec::new();
+            let mut run_size = 0u64;
+            let mut disadv = 0u64;
+            for (offset, block) in blocks[start..].iter().enumerate() {
+                if !block.is_spillable() {
+                    break;
+                }
+                let index = start + offset;
+                run_size += block.size();
+                disadv += block.disadvantage();
+                if !block.is_free() {
+                    run.push(index);
+                }
+                if run_size >= required {
+                    let frag = run_size - required;
+                    let len = run.len();
+                    let better = frag < min_frag
+                        || (frag == min_frag && disadv < min_disadv)
+                        || (frag == min_frag && disadv == min_disadv && len < min_len);
+                    if better {
+                        min_frag = frag;
+                        min_disadv = disadv;
+                        min_len = len;
+                        best = Some(run.clone());
+                    }
+                    break;
+                }
+            }
+        }
+        best
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn flexer_picks_the_reference_victims(
+            tiles in proptest::collection::vec(
+                // (size, remain_uses, fate): fate 0 frees the block,
+                // 1 pins it, anything else leaves it allocated. Few
+                // distinct sizes make ties between runs common.
+                (
+                    proptest::sample::select(vec![16u64, 32, 48, 64, 96]),
+                    0u32..4,
+                    0u8..5,
+                ),
+                1..24,
+            ),
+            requests in proptest::collection::vec(
+                proptest::sample::select(vec![1u64, 16, 24, 32, 64, 100, 128, 200, 400]),
+                1..8,
+            ),
+        ) {
+            let capacity = tiles.iter().map(|&(size, _, _)| size).sum();
+            let mut spm = spm_with(
+                capacity,
+                &tiles.iter().map(|&(size, uses, _)| (size, uses)).collect::<Vec<_>>(),
+            );
+            for (i, &(_, _, fate)) in tiles.iter().enumerate() {
+                match fate {
+                    0 => {
+                        spm.evict(t(i as u32));
+                    }
+                    1 => {
+                        spm.pin(t(i as u32));
+                    }
+                    _ => {}
+                }
+            }
+            for required in requests {
+                proptest::prop_assert_eq!(
+                    FlexerSpill.select_victims(&spm, required),
+                    flexer_select_victims_reference(&spm, required),
+                    "required {}",
+                    required
+                );
+            }
+        }
     }
 
     #[test]

@@ -387,20 +387,35 @@ impl Dfg {
     /// tiling.
     #[must_use]
     pub fn tile_bytes(&self, tile: TileId) -> u64 {
-        let st = self.factors.spatial();
-        let ct = self.factors.c();
+        let index = self.tile_index(tile);
+        match tile.kind() {
+            TileKind::Input => self.in_bytes[index],
+            TileKind::Weight => self.wt_bytes[index],
+            TileKind::Output => self.ot_bytes[index],
+        }
+    }
+
+    /// Dense index of `tile` among this DFG's tiles of the same kind:
+    /// `c·S + s` for inputs, `k·C + c` for weights (`k` for grouped
+    /// layers, whose weights exist only on the diagonal) and `k·S + s`
+    /// for outputs, where `S` is the spatial and `C` the input-channel
+    /// tile count. Distinct tiles of one kind have distinct indices,
+    /// all below that kind's tile count.
+    #[must_use]
+    pub fn tile_index(&self, tile: TileId) -> usize {
+        let st = self.factors.spatial() as usize;
+        let ct = self.factors.c() as usize;
         match tile {
-            TileId::Input { c, s } => self.in_bytes[(c * st + s) as usize],
+            TileId::Input { c, s } => c as usize * st + s as usize,
             TileId::Weight { k, c } => {
                 if self.layer.kind().is_grouped() {
-                    // Grouped weights exist only on the diagonal.
                     debug_assert_eq!(k, c, "off-diagonal grouped weight tile");
-                    self.wt_bytes[k as usize]
+                    k as usize
                 } else {
-                    self.wt_bytes[(k * ct + c) as usize]
+                    k as usize * ct + c as usize
                 }
             }
-            TileId::Output { k, s } => self.ot_bytes[(k * st + s) as usize],
+            TileId::Output { k, s } => k as usize * st + s as usize,
         }
     }
 

@@ -277,7 +277,9 @@ pub fn enumerate_tilings(
     options: &TilingOptions,
 ) -> Vec<TilingFactors> {
     let mut seen = BTreeSet::new();
-    let mut viable = Vec::new();
+    // Each viable tiling carries its estimate, computed once: the sort
+    // key is `(estimate, num_ops, factors)`.
+    let mut viable: Vec<(f64, TilingFactors)> = Vec::new();
 
     for &k in &options.channel_candidates {
         for &c in &options.channel_candidates {
@@ -291,16 +293,15 @@ pub fn enumerate_tilings(
                         continue;
                     }
                     if working_set_bytes(layer, &f, arch) <= arch.spm_bytes() {
-                        viable.push(f);
+                        viable.push((estimate_metric(layer, &f, arch), f));
                     }
                 }
             }
         }
     }
 
-    let by_estimate = |a: &TilingFactors, b: &TilingFactors| {
-        estimate_metric(layer, a, arch)
-            .total_cmp(&estimate_metric(layer, b, arch))
+    let by_estimate = |(ea, a): &(f64, TilingFactors), (eb, b): &(f64, TilingFactors)| {
+        ea.total_cmp(eb)
             .then_with(|| a.num_ops().cmp(&b.num_ops()))
             .then_with(|| a.cmp(b))
     };
@@ -313,12 +314,12 @@ pub fn enumerate_tilings(
         // estimate tends to undervalue.
         let est_half = options.max_tilings - options.max_tilings / 2;
         let mut rest = viable.split_off(est_half);
-        rest.sort_by_key(|f| (f.num_ops_for(layer), *f));
+        rest.sort_by_key(|&(_, f)| (f.num_ops_for(layer), f));
         rest.truncate(options.max_tilings - est_half);
         viable.extend(rest);
         viable.sort_by(by_estimate);
     }
-    viable
+    viable.into_iter().map(|(_, f)| f).collect()
 }
 
 /// Analytically estimates the `latency x transfer` quality of a tiling
@@ -626,6 +627,85 @@ mod tests {
         assert!(tilings.len() <= 5);
         for pair in tilings.windows(2) {
             assert!(estimate_metric(&l, &pair[0], &arch) <= estimate_metric(&l, &pair[1], &arch));
+        }
+    }
+
+    /// [`enumerate_tilings`] as it was before the estimate was cached:
+    /// the sort re-estimates both tilings inside every comparison.
+    fn enumerate_tilings_reference(
+        layer: &ConvLayer,
+        arch: &ArchConfig,
+        options: &TilingOptions,
+    ) -> Vec<TilingFactors> {
+        let mut seen = BTreeSet::new();
+        let mut viable = Vec::new();
+        for &k in &options.channel_candidates {
+            for &c in &options.channel_candidates {
+                for &h in &options.spatial_candidates {
+                    for &w in &options.spatial_candidates {
+                        let f = TilingFactors::normalized(layer, k, c, h, w);
+                        if seen.insert(f)
+                            && f.num_ops_for(layer) <= options.max_ops
+                            && working_set_bytes(layer, &f, arch) <= arch.spm_bytes()
+                        {
+                            viable.push(f);
+                        }
+                    }
+                }
+            }
+        }
+        let by_estimate = |a: &TilingFactors, b: &TilingFactors| {
+            estimate_metric(layer, a, arch)
+                .total_cmp(&estimate_metric(layer, b, arch))
+                .then_with(|| a.num_ops().cmp(&b.num_ops()))
+                .then_with(|| a.cmp(b))
+        };
+        viable.sort_by(by_estimate);
+        if options.max_tilings > 0 && viable.len() > options.max_tilings {
+            let est_half = options.max_tilings - options.max_tilings / 2;
+            let mut rest = viable.split_off(est_half);
+            rest.sort_by_key(|f| (f.num_ops_for(layer), *f));
+            rest.truncate(options.max_tilings - est_half);
+            viable.extend(rest);
+            viable.sort_by(by_estimate);
+        }
+        viable
+    }
+
+    #[test]
+    fn cached_estimates_sort_like_the_per_comparison_reference() {
+        let option_sets = [
+            TilingOptions::default(),
+            TilingOptions {
+                max_ops: 256,
+                max_tilings: 10,
+                ..Default::default()
+            },
+        ];
+        let mut layers = Vec::new();
+        for net in flexer_model::networks::all() {
+            for l in net.layers() {
+                if !layers.contains(l) {
+                    layers.push(l.clone());
+                }
+            }
+        }
+        for arch in [
+            ArchConfig::preset(ArchPreset::Arch1),
+            ArchConfig::preset(ArchPreset::Arch5),
+            ArchConfig::hetero1(),
+        ] {
+            for l in &layers {
+                for opts in &option_sets {
+                    assert_eq!(
+                        enumerate_tilings(l, &arch, opts),
+                        enumerate_tilings_reference(l, &arch, opts),
+                        "{} max_tilings={}",
+                        l.name(),
+                        opts.max_tilings
+                    );
+                }
+            }
         }
     }
 

@@ -5,11 +5,15 @@ set -euo pipefail
 cd "$(dirname "$0")"
 cargo fmt --all --check
 cargo build --release --workspace
-cargo test -q
+# Every crate's tests in debug, so debug_asserts (the cost-to-go check,
+# the SPM index cross-check) run too. This covers the differential gate
+# (the interpreter/verifier suites plus a network-level sweep executing
+# every winning schedule on the SPM abstract machine) and the store and
+# serving suites (fingerprint pinning, corruption handling, warm-start
+# byte identity, server abuse: saturation, malformed input, deadlines,
+# graceful drain).
+cargo test -q --workspace
 cargo clippy --workspace -- -D warnings
-# Differential gate: the interpreter/verifier suites plus a network-level
-# sweep executing every winning schedule on the SPM abstract machine.
-cargo test -q -p flexer-sim -p flexer-sched
 # Recorded proptest failures replayed explicitly: the vendored proptest
 # stand-in does not read .proptest-regressions files, so the shrunken
 # seeds live in dedicated regression_seed_* tests that must never rot.
@@ -70,10 +74,6 @@ fi
 # proven gap instead of a typed deadline error.
 cargo test -q -p flexer-serve anytime
 cargo test -q --test seeded_search
-# Store and serving suites: fingerprint pinning, corruption handling,
-# warm-start byte identity, server abuse (saturation, malformed input,
-# deadlines, graceful drain).
-cargo test -q -p flexer-store -p flexer-serve
 # Store gate, run twice against one directory: every invocation proves
 # warm hits == layers and byte-identical winners internally; the
 # second invocation must additionally warm-start from the first

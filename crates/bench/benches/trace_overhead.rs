@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use flexer_arch::{ArchConfig, ArchPreset};
 use flexer_model::ConvLayer;
-use flexer_sched::{search_layer, search_layer_traced, SearchOptions};
+use flexer_sched::{search, search_layer, SchedulerKind, SearchOptions, SearchRequest};
 use flexer_trace::{Lane, TraceConfig, TraceDetail, Tracer};
 use std::hint::black_box;
 
@@ -48,9 +48,17 @@ fn bench_search(c: &mut Criterion) {
     traced.trace.detail = TraceDetail::Memory;
     c.bench_function("search_traced_memory_detail", |b| {
         b.iter(|| {
-            let (r, trace) = search_layer_traced(black_box(&layer), &arch, &traced);
+            let (mut r, trace) = search(
+                black_box(std::slice::from_ref(&layer)),
+                &arch,
+                &traced,
+                SearchRequest {
+                    trace: true,
+                    ..SearchRequest::new(SchedulerKind::Ooo)
+                },
+            );
             black_box(trace.summary().events);
-            r.unwrap()
+            r.remove(0).unwrap()
         })
     });
 }

@@ -81,6 +81,7 @@
 //! with `FLEXER_BENCH_OUT_PR10`).
 
 use flexer::prelude::*;
+use flexer::sched::{search, SearchRequest};
 use flexer::trace::Lane;
 use std::time::Instant;
 
@@ -634,13 +635,20 @@ fn time_traced_search(
     opts: &SearchOptions,
     iters: usize,
 ) -> (u128, usize, Trace) {
-    let (warm, trace) = flexer::sched::search_layer_traced(layer, arch, opts);
-    let evaluated = warm.expect("benchmark layer schedules").evaluated;
+    let traced = || {
+        let request = SearchRequest {
+            trace: true,
+            ..SearchRequest::new(SchedulerKind::Ooo)
+        };
+        let (mut results, trace) = search(std::slice::from_ref(layer), arch, opts, request);
+        let result = results.remove(0).expect("benchmark layer schedules");
+        (result.evaluated, trace)
+    };
+    let (evaluated, trace) = traced();
     let mut samples: Vec<u128> = (0..iters)
         .map(|_| {
             let t = Instant::now();
-            let (r, _) = flexer::sched::search_layer_traced(layer, arch, opts);
-            assert_eq!(r.expect("benchmark layer schedules").evaluated, evaluated);
+            assert_eq!(traced().0, evaluated);
             t.elapsed().as_nanos()
         })
         .collect();
@@ -671,12 +679,19 @@ fn write_trace_artifact(path: &str) {
     let mut opts = SearchOptions::quick();
     opts.threads = 1; // byte-stable trace
     opts.trace.detail = TraceDetail::Steps;
-    let (result, trace) = flexer::sched::search_network_traced(
+    let request = SearchRequest {
+        trace: true,
+        ..SearchRequest::new(SchedulerKind::Ooo)
+    };
+    let (results, trace) = search(
         head.layers(),
         &ArchConfig::preset(ArchPreset::Arch1),
         &opts,
+        request,
     );
-    result.expect("trace artifact network schedules");
+    for result in results {
+        result.expect("trace artifact network schedules");
+    }
     trace.check().expect("recorded trace is well-formed");
     // The same logical-tick percentiles the chaos harness gates on,
     // computed here from the producer side so check.sh can pin the

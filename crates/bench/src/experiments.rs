@@ -2,7 +2,17 @@
 
 use crate::{geomean, ExperimentContext};
 use flexer::prelude::*;
-use flexer::sched::sweep_tilings;
+use flexer::sched::{sweep_tilings, LayerSearchResult, SearchRequest};
+
+/// The driver's best static loop-order schedule of `layer`.
+fn baseline_layer(driver: &Flexer, layer: &ConvLayer) -> LayerSearchResult {
+    let (results, _) = driver.search(
+        std::slice::from_ref(layer),
+        SchedulerKind::Static,
+        RunMode::Exact,
+    );
+    results.expect("baseline schedules").remove(0)
+}
 
 /// **Table 1** — the eight hardware configurations.
 pub fn table1() {
@@ -175,7 +185,7 @@ pub fn fig09(ctx: &ExperimentContext) {
     );
     for name in ["conv3_1", "conv3_2"] {
         let layer = net.layer_by_name(name).unwrap();
-        let base = driver.baseline_layer(layer).expect("baseline schedules");
+        let base = baseline_layer(&driver, layer);
         for (metric_name, d) in [("default", &driver), ("transfer-weighted", &weighted)] {
             let ooo = d.schedule_layer(layer).expect("layer schedules");
             println!(
@@ -239,7 +249,7 @@ pub fn fig10(ctx: &ExperimentContext) {
             "schedule", "IN B", "WT B", "PS B", "OT B", "total B", "max loads IN/WT/OT"
         );
         let ooo = driver.schedule_layer(layer).expect("layer schedules");
-        let st = driver.baseline_layer(layer).expect("baseline schedules");
+        let st = baseline_layer(&driver, layer);
         let dfg = Dfg::build(layer, ooo.factors, ooo.dataflow, &model, &arch)
             .expect("winning tiling builds");
         let reference = onchip_reference_traffic(&dfg);
@@ -315,12 +325,13 @@ pub fn fig11(ctx: &ExperimentContext) {
                 dataflows,
                 ..ctx.options.clone()
             };
-            let st = flexer::sched::search_layer_static(
-                layer,
+            let (mut st, _) = flexer::sched::search(
+                std::slice::from_ref(layer),
                 &ArchConfig::preset(ArchPreset::Arch6),
                 &opts,
-            )
-            .expect("static search succeeds");
+                SearchRequest::new(SchedulerKind::Static),
+            );
+            let st = st.remove(0).expect("static search succeeds");
             report(tag, &st.schedule);
         }
         let driver = ctx.driver(ArchPreset::Arch6);

@@ -14,22 +14,26 @@
 //!    (§4.3: memory benefit, then utilization, then memory-op
 //!    latency), manages the shared buffer through `flexer-spm`, and
 //!    records timing through `flexer-sim`.
-//! 3. [`search_layer_static`] runs the same exhaustive search with the
-//!    in-order loop-order scheduler ([`StaticScheduler`]) to produce
-//!    the paper's baseline: the best static loop-order schedule.
+//! 3. [`search`] with a [`SchedulerKind::Static`] request runs the
+//!    same exhaustive search with the in-order loop-order scheduler
+//!    ([`StaticScheduler`]) to produce the paper's baseline: the best
+//!    static loop-order schedule. The same [`SearchRequest`] adds a
+//!    memo cache, an anytime deadline or a recorded trace.
 //!
 //! # Examples
 //!
 //! ```
 //! use flexer_arch::{ArchConfig, ArchPreset};
 //! use flexer_model::ConvLayer;
-//! use flexer_sched::{search_layer, search_layer_static, SearchOptions};
+//! use flexer_sched::{search, search_layer, SchedulerKind, SearchOptions, SearchRequest};
 //!
 //! let layer = ConvLayer::new("conv", 32, 14, 14, 32)?;
 //! let arch = ArchConfig::preset(ArchPreset::Arch1);
 //! let opts = SearchOptions::quick();
 //! let ooo = search_layer(&layer, &arch, &opts)?;
-//! let base = search_layer_static(&layer, &arch, &opts)?;
+//! let request = SearchRequest::new(SchedulerKind::Static);
+//! let (mut results, _trace) = search(&[layer], &arch, &opts, request);
+//! let base = results.remove(0)?;
 //! // Both searches return legal schedules with positive latency.
 //! assert!(ooo.schedule.latency() > 0);
 //! assert!(base.schedule.latency() > 0);
@@ -63,13 +67,9 @@ pub use ooo::{EvalMode, OooScheduler};
 pub use priority::{PriorityPolicy, SetEvaluation};
 pub use program::{Command, Program, ProgramError};
 pub use search::{
-    search_layer, search_layer_cached, search_layer_deadline, search_layer_static,
-    search_layer_static_cached, search_layer_static_deadline, search_layer_traced, search_network,
-    search_network_cached, search_network_deadline, search_network_layerwise,
-    search_network_static, search_network_static_cached, search_network_static_deadline,
-    search_network_static_traced, search_network_traced, search_network_traced_cached, solve_layer,
-    sweep_tilings, verify_layer_result, LayerSearchResult, MemoKey, SchedulePoint, SchedulerKind,
-    SearchOptions, SearchOutcome, SeedOptions, SpillPolicyChoice, TraceOptions,
+    search, search_layer, search_network, solve_layer, sweep_tilings, verify_layer_result,
+    LayerSearchResult, MemoKey, SchedulePoint, SchedulerKind, SearchOptions, SearchOutcome,
+    SearchRequest, SeedOptions, SpillPolicyChoice, TraceOptions,
 };
 pub use static_sched::StaticScheduler;
 pub use stats::{SearchStats, StatKind};

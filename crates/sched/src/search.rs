@@ -46,15 +46,14 @@ impl SpillPolicyChoice {
     }
 }
 
-/// How the `*_traced` search entry points record their run.
+/// How a traced [`search`] records its run.
 ///
 /// These options only configure *how* a trace is recorded (timestamp
 /// source and instrumentation depth). Recording itself is switched on
-/// by calling a traced entry point ([`crate::search_layer_traced`],
-/// [`crate::search_network_traced`], …); the untraced APIs never
-/// record, so carrying `TraceOptions` inside [`SearchOptions`] adds no
-/// overhead to them. Excluded from the memo key — tracing never
-/// changes a winner.
+/// per call by [`SearchRequest::trace`]; an untraced search never
+/// records, so carrying `TraceOptions` inside [`SearchOptions`] adds no
+/// overhead to it. Excluded from the memo key — tracing never changes
+/// a winner.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceOptions {
     /// Timestamp source. The default logical clock makes traces
@@ -206,9 +205,9 @@ pub struct SearchOptions {
     /// the winner does not depend on it.
     #[serde(default)]
     pub prune: bool,
-    /// Trace-recording configuration consumed by the `*_traced` entry
-    /// points (see [`TraceOptions`]). Inert everywhere else; excluded
-    /// from the memo key.
+    /// Trace-recording configuration of a search whose
+    /// [`SearchRequest::trace`] is set (see [`TraceOptions`]). Inert
+    /// everywhere else; excluded from the memo key.
     #[serde(default)]
     pub trace: TraceOptions,
     /// Analytical incumbent seeding (see [`SeedOptions`]). Off by
@@ -580,59 +579,88 @@ fn replay_one(
     })
 }
 
+/// What one [`search`] call runs, beyond the [`SearchOptions`] that
+/// decide its winners: which scheduler, which memo cache it reads and
+/// fills, when it turns anytime, and whether it records a trace.
+#[derive(Debug, Clone, Copy)]
+pub struct SearchRequest<'a> {
+    /// The scheduler every candidate runs.
+    pub kind: SchedulerKind,
+    /// A memo cache shared across calls: a layer whose key it holds
+    /// replays the recorded winner with one scheduler run, and every
+    /// exact winner is recorded. Point collection bypasses it.
+    pub cache: Option<&'a MemoCache>,
+    /// An *anytime* deadline. Up to it the search is the exact
+    /// branch-and-bound search; once it expires, unstarted candidates
+    /// are left unresolved and each layer returns the best schedule
+    /// found so far with [`SearchOutcome::Anytime`] carrying a proven
+    /// optimality gap — `score / min(lower bound of the unresolved
+    /// candidates)`. The first candidate of every layer always runs,
+    /// even under an already-expired deadline, so every layer gets a
+    /// real, verifiable schedule. `None` never cuts.
+    pub deadline: Option<Instant>,
+    /// Record a [`Trace`] under [`SearchOptions::trace`]; otherwise
+    /// the returned trace is empty.
+    pub trace: bool,
+}
+
+impl SearchRequest<'_> {
+    /// A plain search with `kind`: no memo cache, no deadline, no
+    /// trace. Set the other fields with struct-update syntax.
+    #[must_use]
+    pub const fn new(kind: SchedulerKind) -> Self {
+        Self {
+            kind,
+            cache: None,
+            deadline: None,
+            trace: false,
+        }
+    }
+}
+
 /// Searches a batch of layers over one flat work queue of
-/// `(layer, tiling, dataflow)` triples.
+/// `(layer, tiling, dataflow)` triples — the paper's Algorithm 1 under
+/// `request`. Returns one `Result` per layer, index-aligned with
+/// `layers`, and the recorded [`Trace`] (present even when layers
+/// fail: failed searches are exactly when a trace is most useful).
 ///
 /// Workers pull triples off a single shared index, so a network search
 /// never serializes on layer boundaries: the last straggler tiling of
 /// layer *i* overlaps with layer *i+1*'s search. Layers that hit the
 /// memo cache, or that repeat an earlier in-batch shape, replay the
-/// winner with one scheduler run instead of contributing work items.
+/// winner with one scheduler run instead of contributing work items;
+/// a duplicate of a failed leader fails with
+/// [`SchedError::DuplicateOf`] wrapping the leader's error. The
+/// reduction per layer is deterministic in work order regardless of
+/// thread count.
 ///
-/// The reduction per layer is deterministic in work order regardless of
-/// thread count. Returns the first failing layer's error (in layer
-/// order) if any layer fails.
-fn search_many(
-    kind: SchedulerKind,
+/// Lane 0 of the trace is the orchestrator: the search root span,
+/// per-leader bound pre-passes, per-layer reduction / replay /
+/// verification spans and the per-layer [`SearchStats`] counters. Work
+/// item *i* of the global queue records into lane `1 + i`, so span
+/// identity is a function of the deterministic work order, never of
+/// thread interleaving. With the default logical clock the trace is
+/// byte-identical across runs for `threads == 1` (any options) or any
+/// thread count with pruning disabled — under parallel pruning the
+/// incumbent race decides *when* a candidate is cut, which the
+/// per-candidate outcome attributes faithfully record.
+pub fn search(
     layers: &[ConvLayer],
     arch: &ArchConfig,
     opts: &SearchOptions,
-    cache: Option<&MemoCache>,
-    deadline: Option<Instant>,
-) -> Result<Vec<LayerSearchResult>, SchedError> {
-    let (results, _) = search_many_traced(
+    request: SearchRequest<'_>,
+) -> (Vec<Result<LayerSearchResult, SchedError>>, Trace) {
+    let SearchRequest {
         kind,
-        layers,
-        arch,
-        opts,
         cache,
         deadline,
-        Tracer::disabled(),
-    );
-    results.into_iter().collect()
-}
-
-/// [`search_many`] with per-layer results and a recorded [`Trace`].
-///
-/// Lane 0 is the orchestrator: the search root span, per-leader bound
-/// pre-passes, per-layer reduction / replay / verification spans and
-/// the per-layer [`SearchStats`] counters. Work item *i* of the global
-/// queue records into lane `1 + i`, so span identity is a function of
-/// the deterministic work order, never of thread interleaving. With
-/// the default logical clock the drained trace is byte-identical
-/// across runs for `threads == 1` (any options) or any thread count
-/// with pruning disabled — under parallel pruning the incumbent race
-/// decides *when* a candidate is cut, which the per-candidate outcome
-/// attributes faithfully record.
-fn search_many_traced(
-    kind: SchedulerKind,
-    layers: &[ConvLayer],
-    arch: &ArchConfig,
-    opts: &SearchOptions,
-    cache: Option<&MemoCache>,
-    deadline: Option<Instant>,
-    tracer: Tracer,
-) -> (Vec<Result<LayerSearchResult, SchedError>>, Trace) {
+        trace,
+    } = request;
+    let tracer = if trace {
+        opts.trace.tracer()
+    } else {
+        Tracer::disabled()
+    };
     let model = SystolicModel::new(arch);
     let mut lane0 = tracer.lane(0, "search");
     let root_span = lane0.is_enabled().then(|| {
@@ -1217,27 +1245,8 @@ fn search_many_traced(
     (out, Trace::from_lanes(tracer.config(), all_lanes))
 }
 
-fn search(
-    kind: SchedulerKind,
-    layer: &ConvLayer,
-    arch: &ArchConfig,
-    opts: &SearchOptions,
-    cache: Option<&MemoCache>,
-    deadline: Option<Instant>,
-) -> Result<LayerSearchResult, SchedError> {
-    search_many(
-        kind,
-        std::slice::from_ref(layer),
-        arch,
-        opts,
-        cache,
-        deadline,
-    )
-    .map(|mut v| v.pop().expect("one layer in, one result out"))
-}
-
 /// Finds the best out-of-order schedule of `layer` on `arch` — the
-/// paper's Algorithm 1.
+/// paper's Algorithm 1: a plain out-of-order [`search`] of one layer.
 ///
 /// # Errors
 ///
@@ -1248,60 +1257,18 @@ pub fn search_layer(
     arch: &ArchConfig,
     opts: &SearchOptions,
 ) -> Result<LayerSearchResult, SchedError> {
-    search(SchedulerKind::Ooo, layer, arch, opts, None, None)
-}
-
-/// [`search_layer`] with a shared [`MemoCache`].
-///
-/// # Errors
-///
-/// As [`search_layer`].
-pub fn search_layer_cached(
-    layer: &ConvLayer,
-    arch: &ArchConfig,
-    opts: &SearchOptions,
-    cache: &MemoCache,
-) -> Result<LayerSearchResult, SchedError> {
-    search(SchedulerKind::Ooo, layer, arch, opts, Some(cache), None)
-}
-
-/// Finds the best *static loop-order* schedule of `layer` on `arch` —
-/// the paper's baseline (§5): exhaustive search over data-stationary
-/// models (loop orders) and viable tiling sizes, executed in order.
-///
-/// # Errors
-///
-/// As [`search_layer`].
-pub fn search_layer_static(
-    layer: &ConvLayer,
-    arch: &ArchConfig,
-    opts: &SearchOptions,
-) -> Result<LayerSearchResult, SchedError> {
-    search(SchedulerKind::Static, layer, arch, opts, None, None)
-}
-
-/// [`search_layer_static`] with a shared [`MemoCache`].
-///
-/// # Errors
-///
-/// As [`search_layer`].
-pub fn search_layer_static_cached(
-    layer: &ConvLayer,
-    arch: &ArchConfig,
-    opts: &SearchOptions,
-    cache: &MemoCache,
-) -> Result<LayerSearchResult, SchedError> {
-    search(SchedulerKind::Static, layer, arch, opts, Some(cache), None)
+    let (mut results, _) = search(
+        std::slice::from_ref(layer),
+        arch,
+        opts,
+        SearchRequest::new(SchedulerKind::Ooo),
+    );
+    results.pop().expect("one layer in, one result out")
 }
 
 /// Searches every layer of a network over one shared work queue — the
-/// multi-layer form of [`search_layer`].
-///
-/// All `(layer, tiling, dataflow)` triples feed one queue, so worker
-/// threads never idle at a layer boundary while a straggler tiling of
-/// the previous layer finishes. Repeated layer shapes are searched
-/// once and replayed. Results are index-aligned with `layers` and
-/// identical to per-layer [`search_layer`] calls.
+/// multi-layer form of [`search_layer`]. Results are index-aligned
+/// with `layers` and identical to per-layer [`search_layer`] calls.
 ///
 /// # Errors
 ///
@@ -1312,126 +1279,10 @@ pub fn search_network(
     arch: &ArchConfig,
     opts: &SearchOptions,
 ) -> Result<Vec<LayerSearchResult>, SchedError> {
-    search_many(SchedulerKind::Ooo, layers, arch, opts, None, None)
-}
-
-/// [`search_network`] with a shared [`MemoCache`].
-///
-/// # Errors
-///
-/// As [`search_network`].
-pub fn search_network_cached(
-    layers: &[ConvLayer],
-    arch: &ArchConfig,
-    opts: &SearchOptions,
-    cache: &MemoCache,
-) -> Result<Vec<LayerSearchResult>, SchedError> {
-    search_many(SchedulerKind::Ooo, layers, arch, opts, Some(cache), None)
-}
-
-/// The static-baseline counterpart of [`search_network`].
-///
-/// # Errors
-///
-/// As [`search_network`].
-pub fn search_network_static(
-    layers: &[ConvLayer],
-    arch: &ArchConfig,
-    opts: &SearchOptions,
-) -> Result<Vec<LayerSearchResult>, SchedError> {
-    search_many(SchedulerKind::Static, layers, arch, opts, None, None)
-}
-
-/// [`search_network_static`] with a shared [`MemoCache`].
-///
-/// # Errors
-///
-/// As [`search_network`].
-pub fn search_network_static_cached(
-    layers: &[ConvLayer],
-    arch: &ArchConfig,
-    opts: &SearchOptions,
-    cache: &MemoCache,
-) -> Result<Vec<LayerSearchResult>, SchedError> {
-    search_many(SchedulerKind::Static, layers, arch, opts, Some(cache), None)
-}
-
-/// [`search_layer`] with an *anytime* deadline.
-///
-/// Up to `deadline` the search is the exact branch-and-bound search;
-/// once it expires, unstarted candidates are left unresolved and the
-/// best schedule found so far is returned with
-/// [`SearchOutcome::Anytime`] carrying a proven optimality gap —
-/// `score / min(lower bound of the unresolved candidates)`. The first
-/// candidate always runs even under an already-expired deadline, so
-/// the result is always a real, verifiable schedule. `None` behaves
-/// exactly like [`search_layer`].
-///
-/// # Errors
-///
-/// As [`search_layer`].
-pub fn search_layer_deadline(
-    layer: &ConvLayer,
-    arch: &ArchConfig,
-    opts: &SearchOptions,
-    deadline: Option<Instant>,
-) -> Result<LayerSearchResult, SchedError> {
-    search(SchedulerKind::Ooo, layer, arch, opts, None, deadline)
-}
-
-/// [`search_network`] with an *anytime* deadline — per-layer semantics
-/// as [`search_layer_deadline`]. The first candidate of *every* layer
-/// runs even when the deadline has already expired, so an anytime
-/// network search always returns one schedule per layer.
-///
-/// # Errors
-///
-/// As [`search_network`].
-pub fn search_network_deadline(
-    layers: &[ConvLayer],
-    arch: &ArchConfig,
-    opts: &SearchOptions,
-    deadline: Option<Instant>,
-) -> Result<Vec<LayerSearchResult>, SchedError> {
-    search_many(SchedulerKind::Ooo, layers, arch, opts, None, deadline)
-}
-
-/// [`search_layer_static`] with an *anytime* deadline — the baseline
-/// counterpart of [`search_layer_deadline`]. Identical semantics: up
-/// to `deadline` the search is exhaustive; once it expires, unstarted
-/// candidates are left unresolved and the best loop-order schedule
-/// found so far is returned with [`SearchOutcome::Anytime`] carrying
-/// a proven optimality gap. The first candidate always runs, so even
-/// an already-expired deadline yields a real schedule.
-///
-/// # Errors
-///
-/// As [`search_layer_static`].
-pub fn search_layer_static_deadline(
-    layer: &ConvLayer,
-    arch: &ArchConfig,
-    opts: &SearchOptions,
-    deadline: Option<Instant>,
-) -> Result<LayerSearchResult, SchedError> {
-    search(SchedulerKind::Static, layer, arch, opts, None, deadline)
-}
-
-/// [`search_network_static`] with an *anytime* deadline — per-layer
-/// semantics as [`search_layer_static_deadline`]. The first candidate
-/// of *every* layer runs even when the deadline has already expired,
-/// so an anytime baseline search always returns one schedule per
-/// layer.
-///
-/// # Errors
-///
-/// As [`search_network_static`].
-pub fn search_network_static_deadline(
-    layers: &[ConvLayer],
-    arch: &ArchConfig,
-    opts: &SearchOptions,
-    deadline: Option<Instant>,
-) -> Result<Vec<LayerSearchResult>, SchedError> {
-    search_many(SchedulerKind::Static, layers, arch, opts, None, deadline)
+    search(layers, arch, opts, SearchRequest::new(SchedulerKind::Ooo))
+        .0
+        .into_iter()
+        .collect()
 }
 
 /// The solver-only scheduling backend: rank every `(tiling, dataflow)`
@@ -1542,116 +1393,6 @@ pub fn solve_layer(
     }
 }
 
-/// [`search_layer`] with trace recording under
-/// [`SearchOptions::trace`]. Always returns the recorded [`Trace`],
-/// even when the search fails — failed searches are exactly when a
-/// trace is most useful.
-///
-/// With the default logical clock the trace is byte-identical across
-/// runs when `opts.threads == 1` (any options), or at any thread count
-/// with `opts.prune == false`; under parallel pruning the incumbent
-/// race decides when candidates are cut, which the trace records
-/// faithfully.
-pub fn search_layer_traced(
-    layer: &ConvLayer,
-    arch: &ArchConfig,
-    opts: &SearchOptions,
-) -> (Result<LayerSearchResult, SchedError>, Trace) {
-    let (mut results, trace) = search_many_traced(
-        SchedulerKind::Ooo,
-        std::slice::from_ref(layer),
-        arch,
-        opts,
-        None,
-        None,
-        opts.trace.tracer(),
-    );
-    (results.pop().expect("one layer in, one result out"), trace)
-}
-
-/// [`search_network`] with trace recording under
-/// [`SearchOptions::trace`] — determinism contract as
-/// [`search_layer_traced`].
-pub fn search_network_traced(
-    layers: &[ConvLayer],
-    arch: &ArchConfig,
-    opts: &SearchOptions,
-) -> (Result<Vec<LayerSearchResult>, SchedError>, Trace) {
-    let (results, trace) = search_many_traced(
-        SchedulerKind::Ooo,
-        layers,
-        arch,
-        opts,
-        None,
-        None,
-        opts.trace.tracer(),
-    );
-    (results.into_iter().collect(), trace)
-}
-
-/// [`search_network_traced`] with a shared [`MemoCache`].
-pub fn search_network_traced_cached(
-    layers: &[ConvLayer],
-    arch: &ArchConfig,
-    opts: &SearchOptions,
-    cache: &MemoCache,
-) -> (Result<Vec<LayerSearchResult>, SchedError>, Trace) {
-    let (results, trace) = search_many_traced(
-        SchedulerKind::Ooo,
-        layers,
-        arch,
-        opts,
-        Some(cache),
-        None,
-        opts.trace.tracer(),
-    );
-    (results.into_iter().collect(), trace)
-}
-
-/// The static-baseline counterpart of [`search_network_traced`].
-pub fn search_network_static_traced(
-    layers: &[ConvLayer],
-    arch: &ArchConfig,
-    opts: &SearchOptions,
-) -> (Result<Vec<LayerSearchResult>, SchedError>, Trace) {
-    let (results, trace) = search_many_traced(
-        SchedulerKind::Static,
-        layers,
-        arch,
-        opts,
-        None,
-        None,
-        opts.trace.tracer(),
-    );
-    (results.into_iter().collect(), trace)
-}
-
-/// [`search_network`] without the first-error collapse: one
-/// `Result` per layer, index-aligned with `layers`.
-///
-/// Where [`search_network`] returns only the first failing layer's
-/// error, this keeps every layer's individual outcome — in particular
-/// a duplicate of a failed leader surfaces as
-/// [`SchedError::DuplicateOf`] wrapping the leader's error, which the
-/// collapsed form can never show (the leader's own error always
-/// precedes it in layer order).
-pub fn search_network_layerwise(
-    layers: &[ConvLayer],
-    arch: &ArchConfig,
-    opts: &SearchOptions,
-) -> Vec<Result<LayerSearchResult, SchedError>> {
-    search_many_traced(
-        SchedulerKind::Ooo,
-        layers,
-        arch,
-        opts,
-        None,
-        None,
-        Tracer::disabled(),
-    )
-    .0
-}
-
 /// Explores every `(tiling, dataflow)` pair with both schedulers and
 /// returns their `(latency, transfer)` scatter — the data behind the
 /// paper's Figure 1.
@@ -1670,8 +1411,19 @@ pub fn sweep_tilings(
 ) -> Result<(Vec<SchedulePoint>, Vec<SchedulePoint>), SchedError> {
     let mut opts = opts.clone();
     opts.collect_points = true;
-    let ooo = search(SchedulerKind::Ooo, layer, arch, &opts, None, None)?;
-    let st = search(SchedulerKind::Static, layer, arch, &opts, None, None)?;
+    let run = |kind| {
+        search(
+            std::slice::from_ref(layer),
+            arch,
+            &opts,
+            SearchRequest::new(kind),
+        )
+        .0
+        .pop()
+        .expect("one layer in, one result out")
+    };
+    let ooo = run(SchedulerKind::Ooo)?;
+    let st = run(SchedulerKind::Static)?;
     // Inner-join on the (tiling, dataflow) key: either scheduler may
     // have skipped pairs it could not schedule.
     let key = |p: &SchedulePoint| (p.factors, p.dataflow);
@@ -1696,6 +1448,44 @@ mod tests {
     fn layer() -> ConvLayer {
         ConvLayer::new("t", 32, 14, 14, 32).unwrap()
     }
+
+    /// `layer` searched alone on [`arch`] under `request`.
+    fn search_one(
+        layer: &ConvLayer,
+        opts: &SearchOptions,
+        request: SearchRequest<'_>,
+    ) -> (Result<LayerSearchResult, SchedError>, Trace) {
+        let (mut results, trace) = search(std::slice::from_ref(layer), &arch(), opts, request);
+        (results.pop().unwrap(), trace)
+    }
+
+    fn search_static(
+        layer: &ConvLayer,
+        arch: &ArchConfig,
+        opts: &SearchOptions,
+    ) -> Result<LayerSearchResult, SchedError> {
+        let (mut results, _) = search(
+            std::slice::from_ref(layer),
+            arch,
+            opts,
+            SearchRequest::new(SchedulerKind::Static),
+        );
+        results.pop().unwrap()
+    }
+
+    /// An out-of-order search that reads and fills `cache`.
+    fn cached(cache: &MemoCache) -> SearchRequest<'_> {
+        SearchRequest {
+            cache: Some(cache),
+            ..SearchRequest::new(SchedulerKind::Ooo)
+        }
+    }
+
+    /// An out-of-order search that records a trace.
+    const TRACED: SearchRequest<'static> = SearchRequest {
+        trace: true,
+        ..SearchRequest::new(SchedulerKind::Ooo)
+    };
 
     fn arch() -> ArchConfig {
         ArchConfig::preset(ArchPreset::Arch1)
@@ -1777,7 +1567,7 @@ mod tests {
         assert_eq!(r.stats.candidates_bounded as usize, r.evaluated);
         // The static scheduler has no set search, but the
         // branch-and-bound layer still bounds its candidates.
-        let s = search_layer_static(&layer(), &arch(), &opts).unwrap();
+        let s = search_static(&layer(), &arch(), &opts).unwrap();
         assert_eq!(s.stats.steps, 0);
         assert_eq!(s.stats.sets_evaluated, 0);
         assert!(s.stats.candidates_bounded > 0);
@@ -1807,8 +1597,8 @@ mod tests {
                 assert_eq!(p.schedule, e.schedule);
                 assert!(p.stats.candidates_bounded > 0);
                 assert_eq!(e.stats.candidates_bounded, 0);
-                let ps = search_layer_static(&l, &ar, &pruned).unwrap();
-                let es = search_layer_static(&l, &ar, &exhaustive).unwrap();
+                let ps = search_static(&l, &ar, &pruned).unwrap();
+                let es = search_static(&l, &ar, &exhaustive).unwrap();
                 assert_eq!(ps.factors, es.factors);
                 assert_eq!(ps.score, es.score);
                 assert_eq!(ps.schedule, es.schedule);
@@ -1843,7 +1633,7 @@ mod tests {
     #[test]
     fn static_search_works() {
         let opts = SearchOptions::quick();
-        let r = search_layer_static(&layer(), &arch(), &opts).unwrap();
+        let r = search_static(&layer(), &arch(), &opts).unwrap();
         assert!(r.schedule.latency() > 0);
         assert!(r.schedule.transfer_bytes() > 0);
     }
@@ -1852,12 +1642,12 @@ mod tests {
     fn memo_cache_replays_winner() {
         let opts = SearchOptions::quick();
         let cache = MemoCache::new();
-        let full = search_layer_cached(&layer(), &arch(), &opts, &cache).unwrap();
+        let full = search_one(&layer(), &opts, cached(&cache)).0.unwrap();
         assert!(full.evaluated > 1);
         assert_eq!(cache.len(), 1);
         // Same shape, different name: memo hit.
         let renamed = layer().with_name("other");
-        let hit = search_layer_cached(&renamed, &arch(), &opts, &cache).unwrap();
+        let hit = search_one(&renamed, &opts, cached(&cache)).0.unwrap();
         assert_eq!(hit.evaluated, 1);
         assert_eq!(hit.factors, full.factors);
         assert_eq!(hit.dataflow, full.dataflow);
@@ -1906,7 +1696,7 @@ mod tests {
         let mut opts = SearchOptions::quick();
         opts.dataflows = vec![Dataflow::Ksc];
         opts.collect_points = true;
-        let r = search_layer_static(&layer(), &arch(), &opts).unwrap();
+        let r = search_static(&layer(), &arch(), &opts).unwrap();
         assert!(r.points.iter().all(|p| p.dataflow == Dataflow::Ksc));
         assert_eq!(r.dataflow, Dataflow::Ksc);
     }
@@ -1926,10 +1716,10 @@ mod tests {
     fn collect_points_bypasses_memo_replay() {
         let mut opts = SearchOptions::quick();
         let cache = MemoCache::new();
-        let _ = search_layer_cached(&layer(), &arch(), &opts, &cache).unwrap();
+        let _ = search_one(&layer(), &opts, cached(&cache)).0.unwrap();
         assert_eq!(cache.len(), 1);
         opts.collect_points = true;
-        let full = search_layer_cached(&layer(), &arch(), &opts, &cache).unwrap();
+        let full = search_one(&layer(), &opts, cached(&cache)).0.unwrap();
         assert!(full.evaluated > 1, "memo must not shortcut a point sweep");
         assert!(!full.points.is_empty());
     }
@@ -1938,8 +1728,17 @@ mod tests {
     fn ooo_and_static_memo_entries_do_not_collide() {
         let opts = SearchOptions::quick();
         let cache = MemoCache::new();
-        let _ = search_layer_cached(&layer(), &arch(), &opts, &cache).unwrap();
-        let _ = search_layer_static_cached(&layer(), &arch(), &opts, &cache).unwrap();
+        let _ = search_one(&layer(), &opts, cached(&cache)).0.unwrap();
+        let _ = search_one(
+            &layer(),
+            &opts,
+            SearchRequest {
+                kind: SchedulerKind::Static,
+                ..cached(&cache)
+            },
+        )
+        .0
+        .unwrap();
         assert_eq!(cache.len(), 2);
     }
 
@@ -1951,7 +1750,7 @@ mod tests {
         let r = search_layer(&layer(), &arch(), &opts).unwrap();
         assert_eq!(r.stats.schedules_verified, 1);
         assert!(r.stats.verify_nanos > 0);
-        let s = search_layer_static(&layer(), &arch(), &opts).unwrap();
+        let s = search_static(&layer(), &arch(), &opts).unwrap();
         assert_eq!(s.stats.schedules_verified, 1);
     }
 
@@ -1960,8 +1759,10 @@ mod tests {
         let mut opts = SearchOptions::quick();
         opts.validate = true;
         let cache = MemoCache::new();
-        let _ = search_layer_cached(&layer(), &arch(), &opts, &cache).unwrap();
-        let hit = search_layer_cached(&layer().with_name("other"), &arch(), &opts, &cache).unwrap();
+        let _ = search_one(&layer(), &opts, cached(&cache)).0.unwrap();
+        let hit = search_one(&layer().with_name("other"), &opts, cached(&cache))
+            .0
+            .unwrap();
         assert_eq!(hit.evaluated, 1, "memo hit replays the winner");
         assert_eq!(hit.stats.schedules_verified, 1, "replays are verified too");
     }
@@ -2024,7 +1825,7 @@ mod tests {
     fn traced_search_records_a_well_formed_trace() {
         let mut opts = SearchOptions::quick();
         opts.threads = 1;
-        let (r, trace) = search_layer_traced(&layer(), &arch(), &opts);
+        let (r, trace) = search_one(&layer(), &opts, TRACED);
         let r = r.unwrap();
         trace.check().unwrap();
         assert_eq!(count_spans(&trace, "search"), 1);
@@ -2043,8 +1844,8 @@ mod tests {
     fn traced_serial_search_is_deterministic() {
         let mut opts = SearchOptions::quick();
         opts.threads = 1;
-        let (_, a) = search_layer_traced(&layer(), &arch(), &opts);
-        let (_, b) = search_layer_traced(&layer(), &arch(), &opts);
+        let (_, a) = search_one(&layer(), &opts, TRACED);
+        let (_, b) = search_one(&layer(), &opts, TRACED);
         assert_eq!(
             flexer_trace::text::render_tree(&a),
             flexer_trace::text::render_tree(&b)
@@ -2062,7 +1863,7 @@ mod tests {
             .unwrap();
         let mut opts = SearchOptions::quick();
         opts.tiling.max_ops = 32;
-        let (r, trace) = search_layer_traced(&huge, &arch(), &opts);
+        let (r, trace) = search_one(&huge, &opts, TRACED);
         assert!(r.is_err());
         trace.check().unwrap();
         assert!(!trace.is_empty(), "failures still produce a trace");
@@ -2076,7 +1877,7 @@ mod tests {
         opts.threads = 1;
         let plain = search_layer(&layer(), &arch(), &opts).unwrap();
         opts.trace.detail = TraceDetail::Memory;
-        let (traced, trace) = search_layer_traced(&layer(), &arch(), &opts);
+        let (traced, trace) = search_one(&layer(), &opts, TRACED);
         let traced = traced.unwrap();
         assert_eq!(
             plain.schedule, traced.schedule,
@@ -2098,7 +1899,13 @@ mod tests {
             .unwrap();
         let mut opts = SearchOptions::quick();
         opts.tiling.max_ops = 32;
-        let results = search_network_layerwise(&[good, bad], &arch(), &opts);
+        let results = search(
+            &[good, bad],
+            &arch(),
+            &opts,
+            SearchRequest::new(SchedulerKind::Ooo),
+        )
+        .0;
         assert_eq!(results.len(), 2);
         assert!(results[0].is_ok());
         assert!(matches!(
@@ -2132,8 +1939,8 @@ mod tests {
                 assert_eq!(s.score, p.score);
                 assert_eq!(s.schedule, p.schedule);
                 assert!(s.is_exact() && p.is_exact());
-                let ss = search_layer_static(&l, &ar, &seeded).unwrap();
-                let ps = search_layer_static(&l, &ar, &plain).unwrap();
+                let ss = search_static(&l, &ar, &seeded).unwrap();
+                let ps = search_static(&l, &ar, &plain).unwrap();
                 assert_eq!(ss.factors, ps.factors);
                 assert_eq!(ss.score, ps.score);
                 assert_eq!(ss.schedule, ps.schedule);
@@ -2227,12 +2034,23 @@ mod tests {
         assert!(seeded.stats.candidates_pruned + seeded.stats.early_exits > 0);
     }
 
+    /// A search of `kind` with an anytime `deadline`.
+    fn by(kind: SchedulerKind, deadline: Instant) -> SearchRequest<'static> {
+        SearchRequest {
+            deadline: Some(deadline),
+            ..SearchRequest::new(kind)
+        }
+    }
+
+    const KINDS: [SchedulerKind; 2] = [SchedulerKind::Ooo, SchedulerKind::Static];
+
     #[test]
     fn expired_deadline_returns_an_anytime_result() {
-        for threads in [1, 4] {
+        for (kind, threads) in KINDS.into_iter().flat_map(|k| [(k, 1), (k, 4)]) {
             let mut opts = SearchOptions::quick();
             opts.threads = threads;
-            let r = search_layer_deadline(&layer(), &arch(), &opts, Some(Instant::now())).unwrap();
+            let (r, _) = search_one(&layer(), &opts, by(kind, Instant::now()));
+            let r = r.unwrap();
             assert!(!r.is_exact(), "an expired deadline cannot be exhaustive");
             let gap = r.gap().unwrap();
             assert!(gap >= 1.0, "gap is a ratio over a lower bound: {gap}");
@@ -2240,7 +2058,7 @@ mod tests {
             assert!(r.schedule.latency() > 0);
             // The partial winner is still a real, verifiable schedule.
             let mut r = r;
-            verify_layer_result(&layer(), &arch(), &opts, SchedulerKind::Ooo, &mut r).unwrap();
+            verify_layer_result(&layer(), &arch(), &opts, kind, &mut r).unwrap();
         }
     }
 
@@ -2248,10 +2066,14 @@ mod tests {
     fn expired_deadline_still_schedules_every_layer() {
         let layers = [layer(), ConvLayer::new("u", 16, 28, 28, 32).unwrap()];
         let opts = SearchOptions::quick();
-        let batch = search_network_deadline(&layers, &arch(), &opts, Some(Instant::now())).unwrap();
-        assert_eq!(batch.len(), layers.len());
-        for r in &batch {
-            assert!(r.schedule.latency() > 0);
+        for kind in KINDS {
+            let (batch, _) = search(&layers, &arch(), &opts, by(kind, Instant::now()));
+            assert_eq!(batch.len(), layers.len());
+            for r in batch {
+                let r = r.unwrap();
+                assert!(r.schedule.latency() > 0);
+                assert!(!r.is_exact());
+            }
         }
     }
 
@@ -2260,55 +2082,15 @@ mod tests {
         let mut opts = SearchOptions::quick();
         opts.threads = 1;
         let far = Instant::now() + std::time::Duration::from_secs(3600);
-        let r = search_layer_deadline(&layer(), &arch(), &opts, Some(far)).unwrap();
-        let plain = search_layer(&layer(), &arch(), &opts).unwrap();
-        assert!(r.is_exact());
-        assert_eq!(r.gap(), None);
-        assert_eq!(r.schedule, plain.schedule);
-        assert_eq!(r.score, plain.score);
-    }
-
-    #[test]
-    fn static_expired_deadline_returns_an_anytime_result() {
-        for threads in [1, 4] {
-            let mut opts = SearchOptions::quick();
-            opts.threads = threads;
-            let r = search_layer_static_deadline(&layer(), &arch(), &opts, Some(Instant::now()))
+        for kind in KINDS {
+            let r = search_one(&layer(), &opts, by(kind, far)).0.unwrap();
+            let plain = search_one(&layer(), &opts, SearchRequest::new(kind))
+                .0
                 .unwrap();
-            assert!(!r.is_exact(), "an expired deadline cannot be exhaustive");
-            let gap = r.gap().unwrap();
-            assert!(gap >= 1.0, "gap is a ratio over a lower bound: {gap}");
-            assert!(gap.is_finite(), "bounds were available to prove a gap");
-            assert!(r.schedule.latency() > 0);
-            // The partial winner is still a real, verifiable schedule.
-            let mut r = r;
-            verify_layer_result(&layer(), &arch(), &opts, SchedulerKind::Static, &mut r).unwrap();
-        }
-    }
-
-    #[test]
-    fn static_generous_deadline_stays_exact() {
-        let mut opts = SearchOptions::quick();
-        opts.threads = 1;
-        let far = Instant::now() + std::time::Duration::from_secs(3600);
-        let r = search_layer_static_deadline(&layer(), &arch(), &opts, Some(far)).unwrap();
-        let plain = search_layer_static(&layer(), &arch(), &opts).unwrap();
-        assert!(r.is_exact());
-        assert_eq!(r.gap(), None);
-        assert_eq!(r.schedule, plain.schedule);
-        assert_eq!(r.score, plain.score);
-    }
-
-    #[test]
-    fn static_expired_deadline_still_schedules_every_layer() {
-        let layers = [layer(), ConvLayer::new("u", 16, 28, 28, 32).unwrap()];
-        let opts = SearchOptions::quick();
-        let batch =
-            search_network_static_deadline(&layers, &arch(), &opts, Some(Instant::now())).unwrap();
-        assert_eq!(batch.len(), layers.len());
-        for r in &batch {
-            assert!(r.schedule.latency() > 0);
-            assert!(!r.is_exact());
+            assert!(r.is_exact());
+            assert_eq!(r.gap(), None);
+            assert_eq!(r.schedule, plain.schedule);
+            assert_eq!(r.score, plain.score);
         }
     }
 
@@ -2343,12 +2125,12 @@ mod tests {
         let mut opts = SearchOptions::quick();
         opts.threads = 1;
         opts.validate = true;
-        let plain = search_layer_static(&layer(), &arch(), &opts).unwrap();
+        let plain = search_static(&layer(), &arch(), &opts).unwrap();
         opts.residency = Residency {
             input_resident: true,
             output_resident: true,
         };
-        let resident = search_layer_static(&layer(), &arch(), &opts).unwrap();
+        let resident = search_static(&layer(), &arch(), &opts).unwrap();
         let traffic = resident.schedule.traffic();
         assert_eq!(traffic.class_bytes(TrafficClass::Input), 0);
         assert_eq!(traffic.class_bytes(TrafficClass::Output), 0);
@@ -2397,7 +2179,8 @@ mod tests {
         let mut opts = SearchOptions::quick();
         opts.threads = 1;
         opts.seed.enabled = true;
-        let r = search_layer_deadline(&layer(), &arch(), &opts, Some(Instant::now())).unwrap();
+        let (r, _) = search_one(&layer(), &opts, by(SchedulerKind::Ooo, Instant::now()));
+        let r = r.unwrap();
         assert!(r.schedule.latency() > 0);
         assert!(r.stats.seed_nanos > 0);
     }
@@ -2447,16 +2230,12 @@ mod tests {
     fn anytime_results_are_not_memoized() {
         let opts = SearchOptions::quick();
         let cache = MemoCache::new();
-        let (results, _) = search_many_traced(
-            SchedulerKind::Ooo,
-            std::slice::from_ref(&layer()),
-            &arch(),
-            &opts,
-            Some(&cache),
-            Some(Instant::now()),
-            Tracer::disabled(),
-        );
-        let r = results.into_iter().next().unwrap().unwrap();
+        let request = SearchRequest {
+            cache: Some(&cache),
+            deadline: Some(Instant::now()),
+            ..SearchRequest::new(SchedulerKind::Ooo)
+        };
+        let r = search_one(&layer(), &opts, request).0.unwrap();
         assert!(!r.is_exact());
         assert_eq!(
             cache.len(),

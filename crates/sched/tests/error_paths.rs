@@ -7,8 +7,8 @@
 use flexer_arch::{ArchConfig, ArchConfigBuilder, ArchPreset, SystolicModel};
 use flexer_model::{ConvLayer, ConvLayerBuilder};
 use flexer_sched::{
-    search_layer, search_network, search_network_layerwise, Cutoff, Incumbent, Metric,
-    OooScheduler, SchedError, SearchOptions,
+    search, search_layer, search_network, Cutoff, Incumbent, Metric, OooScheduler, SchedError,
+    SchedulerKind, SearchOptions, SearchRequest,
 };
 use flexer_sim::TimelineError;
 use flexer_tiling::{Dataflow, Dfg, TilingFactors};
@@ -73,7 +73,8 @@ fn unarmed_cutoff_never_fires() {
 fn duplicate_of_a_failed_leader_wraps_the_leaders_error() {
     let leader = unschedulable();
     let twin = leader.with_name("huge-twin");
-    let results = search_network_layerwise(&[leader, twin], &arch1(), &tight_opts());
+    let request = SearchRequest::new(SchedulerKind::Ooo);
+    let (results, _) = search(&[leader, twin], &arch1(), &tight_opts(), request);
     assert_eq!(results.len(), 2);
     assert!(
         matches!(

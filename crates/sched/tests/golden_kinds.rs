@@ -7,7 +7,25 @@
 
 use flexer_arch::{ArchConfig, ArchPreset};
 use flexer_model::{ConvLayer, ConvLayerBuilder};
-use flexer_sched::{search_layer, search_layer_static, LayerSearchResult, SearchOptions};
+use flexer_sched::{
+    search, search_layer, LayerSearchResult, SchedError, SchedulerKind, SearchOptions,
+    SearchRequest,
+};
+
+/// The best static loop-order schedule of one layer.
+fn search_static(
+    layer: &ConvLayer,
+    arch: &ArchConfig,
+    opts: &SearchOptions,
+) -> Result<LayerSearchResult, SchedError> {
+    let (mut results, _) = search(
+        std::slice::from_ref(layer),
+        arch,
+        opts,
+        SearchRequest::new(SchedulerKind::Static),
+    );
+    results.remove(0)
+}
 
 fn kinds() -> Vec<ConvLayer> {
     vec![
@@ -48,8 +66,8 @@ fn new_kinds_search_deterministically_on_every_arch() {
             let b = search_layer(&layer, &arch, &opts).unwrap();
             assert_same_winner(&a, &b);
             assert!(a.schedule.latency() > 0, "{}", layer.name());
-            let sa = search_layer_static(&layer, &arch, &opts).unwrap();
-            let sb = search_layer_static(&layer, &arch, &opts).unwrap();
+            let sa = search_static(&layer, &arch, &opts).unwrap();
+            let sb = search_static(&layer, &arch, &opts).unwrap();
             assert_same_winner(&sa, &sb);
             // The OoO winner never loses to the static baseline.
             assert!(a.score <= sa.score, "{}", layer.name());
@@ -84,8 +102,8 @@ fn matmul_winner_is_byte_identical_to_its_pointwise_lowering() {
         let a = search_layer(&mm, &arch, &opts).unwrap();
         let b = search_layer(&pw, &arch, &opts).unwrap();
         assert_same_winner(&a, &b);
-        let sa = search_layer_static(&mm, &arch, &opts).unwrap();
-        let sb = search_layer_static(&pw, &arch, &opts).unwrap();
+        let sa = search_static(&mm, &arch, &opts).unwrap();
+        let sb = search_static(&pw, &arch, &opts).unwrap();
         assert_same_winner(&sa, &sb);
     }
 }

@@ -10,7 +10,7 @@
 use crate::protocol::{hex_encode, ok_response, ErrorKind, Mode, Obj, Op, OptionsName, Request};
 use flexer::prelude::*;
 use flexer_arch::ArchPreset;
-use flexer_sched::SchedError;
+use flexer_sched::{LayerSearchResult, SchedError};
 use flexer_store::{Ingest, ScheduleStore};
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -455,23 +455,31 @@ impl Engine {
         (ErrorKind::Sched, e.to_string())
     }
 
-    /// Schedules every layer through `driver`, checking the deadline
-    /// between layers.
+    /// Searches one layer through `driver` with `kind` under `mode`.
+    fn layer(
+        driver: &Flexer,
+        layer: &ConvLayer,
+        kind: SchedulerKind,
+        mode: RunMode,
+    ) -> Result<LayerSearchResult, Failure> {
+        let (results, _) = driver.search(std::slice::from_ref(layer), kind, mode);
+        results
+            .map(|mut v| v.remove(0))
+            .map_err(|e| Self::sched_failure(&e))
+    }
+
+    /// Schedules every layer through `driver` with `kind`, checking the
+    /// deadline between layers.
     fn layers_with_deadline(
         driver: &Flexer,
         net: &Network,
         deadline: &Deadline,
-        baseline: bool,
+        kind: SchedulerKind,
     ) -> Result<NetworkResult, Failure> {
         let mut rows = Vec::with_capacity(net.layers().len());
         for layer in net.layers() {
             deadline.check()?;
-            let result = if baseline {
-                driver.baseline_layer(layer)
-            } else {
-                driver.schedule_layer(layer)
-            };
-            rows.push(result.map_err(|e| Self::sched_failure(&e))?);
+            rows.push(Self::layer(driver, layer, kind, RunMode::Exact)?);
         }
         Ok(NetworkResult::new(net.name(), rows))
     }
@@ -532,14 +540,14 @@ impl Engine {
             // Traced requests run the whole-network traced search: it
             // bypasses the persistent store on purpose (the point is
             // to watch the real search) and is not layer-interruptible.
-            let traced = driver.trace_network(net);
-            let tree = traced.span_tree();
-            let result = traced.result.map_err(|e| Self::sched_failure(&e))?;
+            let (layers, trace) = driver.search(net.layers(), SchedulerKind::Ooo, RunMode::Traced);
+            let tree = flexer_trace::text::render_tree(&trace);
+            let layers = layers.map_err(|e| Self::sched_failure(&e))?;
             deadline.check()?;
             o.str("span_tree", &tree);
-            result
+            NetworkResult::new(net.name(), layers)
         } else {
-            Self::layers_with_deadline(&driver, net, deadline, false)?
+            Self::layers_with_deadline(&driver, net, deadline, SchedulerKind::Ooo)?
         };
         Self::push_totals(&mut o, req, &result);
         o.raw("layers", &Self::layer_rows(&result));
@@ -609,10 +617,8 @@ impl Engine {
     ) -> Result<String, Failure> {
         let mut rows = Vec::with_capacity(net.layers().len());
         for layer in net.layers() {
-            let result = driver
-                .schedule_layer_anytime(layer, deadline.at())
-                .map_err(|e| Self::sched_failure(&e))?;
-            rows.push(result);
+            let mode = RunMode::Anytime(deadline.at());
+            rows.push(Self::layer(driver, layer, SchedulerKind::Ooo, mode)?);
         }
         let result = NetworkResult::new(net.name(), rows);
         let partial = result.layers().iter().any(|l| !l.is_exact());
@@ -640,8 +646,8 @@ impl Engine {
     ) -> Result<String, Failure> {
         let driver = self.driver((req.arch, req.options, verify))?;
         deadline.check()?;
-        let flexer = Self::layers_with_deadline(&driver, net, deadline, false)?;
-        let baseline = Self::layers_with_deadline(&driver, net, deadline, true)?;
+        let flexer = Self::layers_with_deadline(&driver, net, deadline, SchedulerKind::Ooo)?;
+        let baseline = Self::layers_with_deadline(&driver, net, deadline, SchedulerKind::Static)?;
         let cmp = NetworkComparison::new(flexer, baseline);
         let op = if verify { Op::Verify } else { Op::Compare };
         let mut o = ok_response(op, req.id.as_deref());

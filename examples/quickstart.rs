@@ -35,7 +35,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ooo.dataflow,
     );
 
-    let baseline = driver.baseline_layer(&layer)?;
+    let (baseline, _) = driver.search(
+        std::slice::from_ref(&layer),
+        SchedulerKind::Static,
+        RunMode::Exact,
+    );
+    let baseline = baseline?.remove(0);
     println!(
         "best static order    : {:>12} cycles  {:>12} B  [{} / {}]",
         baseline.schedule.latency(),

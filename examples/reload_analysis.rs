@@ -45,7 +45,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let driver = Flexer::new(arch.clone()).with_options(SearchOptions::quick());
     let ooo = driver.schedule_layer(&layer)?;
-    let baseline = driver.baseline_layer(&layer)?;
+    let (baseline, _) = driver.search(
+        std::slice::from_ref(&layer),
+        SchedulerKind::Static,
+        RunMode::Exact,
+    );
+    let baseline = baseline?.remove(0);
 
     // Figure-10-style traffic breakdown against the infinite-buffer
     // reference.

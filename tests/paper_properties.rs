@@ -3,7 +3,7 @@
 
 use flexer::arch::SystolicModel;
 use flexer::prelude::*;
-use flexer::sched::{search_layer, search_layer_static, OooScheduler, StaticScheduler};
+use flexer::sched::{search, search_layer, OooScheduler, SearchRequest, StaticScheduler};
 use flexer::sim::TrafficStats;
 
 fn arch5() -> ArchConfig {
@@ -128,7 +128,11 @@ fn flexer_beats_baseline_on_bandwidth_bound_layer() {
     let layer = resnet.layer_by_name("conv3_1_1").unwrap();
     let opts = SearchOptions::default();
     let ooo = search_layer(layer, &arch5(), &opts).unwrap();
-    let st = search_layer_static(layer, &arch5(), &opts).unwrap();
+    let request = SearchRequest::new(SchedulerKind::Static);
+    let st = search(std::slice::from_ref(layer), &arch5(), &opts, request)
+        .0
+        .remove(0)
+        .unwrap();
     assert!(
         ooo.score < st.score,
         "metric: ooo {} vs static {}",

@@ -102,7 +102,9 @@ fn search_winners_are_legal() {
     let ooo = flexer::sched::search_layer(&layer, &arch, &opts).unwrap();
     let dfg = Dfg::build(&layer, ooo.factors, ooo.dataflow, &model, &arch).unwrap();
     validate_schedule(&dfg, &ooo.schedule).unwrap();
-    let st = flexer::sched::search_layer_static(&layer, &arch, &opts).unwrap();
+    let request = flexer::sched::SearchRequest::new(SchedulerKind::Static);
+    let (mut st, _) = flexer::sched::search(std::slice::from_ref(&layer), &arch, &opts, request);
+    let st = st.remove(0).unwrap();
     let dfg = Dfg::build(&layer, st.factors, st.dataflow, &model, &arch).unwrap();
     validate_schedule(&dfg, &st.schedule).unwrap();
 }

@@ -8,7 +8,7 @@
 //! wrong "optimum".
 
 use flexer::prelude::*;
-use flexer::sched::{search_network, search_network_static, SchedError, SeedOptions};
+use flexer::sched::{search, search_network, SchedError, SearchRequest, SeedOptions};
 use proptest::prelude::*;
 
 /// Random small conv layers — modest extents so a whole network
@@ -65,8 +65,13 @@ proptest! {
             prop_assert!(s.is_exact());
         }
 
-        let plain = search_network_static(&layers, &arch, &opts).unwrap();
-        let with_seed = search_network_static(&layers, &arch, &opts_seeded).unwrap();
+        let static_search = |opts| -> Vec<_> {
+            let request = SearchRequest::new(SchedulerKind::Static);
+            let (results, _) = search(&layers, &arch, opts, request);
+            results.into_iter().map(Result::unwrap).collect()
+        };
+        let plain = static_search(&opts);
+        let with_seed = static_search(&opts_seeded);
         for (p, s) in plain.iter().zip(&with_seed) {
             prop_assert_eq!(&p.schedule, &s.schedule, "static winner drifted under seeding");
             prop_assert_eq!(p.factors, s.factors);

@@ -4,8 +4,22 @@
 //! one-layer search.
 
 use flexer::prelude::*;
-use flexer::sched::{search_layer_traced, search_network_traced};
+use flexer::sched::{search, LayerSearchResult, SchedError, SearchRequest};
 use flexer::trace::{chrome, text};
+
+/// A traced out-of-order search of `layers`.
+fn search_traced(
+    layers: &[ConvLayer],
+    arch: &ArchConfig,
+    opts: &SearchOptions,
+) -> (Result<Vec<LayerSearchResult>, SchedError>, Trace) {
+    let request = SearchRequest {
+        trace: true,
+        ..SearchRequest::new(SchedulerKind::Ooo)
+    };
+    let (results, trace) = search(layers, arch, opts, request);
+    (results.into_iter().collect(), trace)
+}
 
 /// The fixed search every test in this file agrees on: one small layer,
 /// one dataflow, two tilings, serial — small enough that its span tree
@@ -59,7 +73,7 @@ lane 2 \"g/1\"
 #[test]
 fn golden_span_tree_is_pinned_byte_for_byte() {
     let arch = ArchConfig::preset(ArchPreset::Arch1);
-    let (res, trace) = search_layer_traced(&golden_layer(), &arch, &golden_opts());
+    let (res, trace) = search_traced(&[golden_layer()], &arch, &golden_opts());
     res.unwrap();
     trace.check().unwrap();
     assert_eq!(text::render_tree(&trace), GOLDEN_TREE);
@@ -70,9 +84,9 @@ fn chrome_export_is_byte_stable_across_runs() {
     let arch = ArchConfig::preset(ArchPreset::Arch1);
     let layer = golden_layer();
     let opts = golden_opts();
-    let (ra, a) = search_layer_traced(&layer, &arch, &opts);
-    let (rb, b) = search_layer_traced(&layer, &arch, &opts);
-    let (ra, rb) = (ra.unwrap(), rb.unwrap());
+    let (ra, a) = search_traced(std::slice::from_ref(&layer), &arch, &opts);
+    let (rb, b) = search_traced(std::slice::from_ref(&layer), &arch, &opts);
+    let (ra, rb) = (ra.unwrap().remove(0), rb.unwrap().remove(0));
     assert_eq!(ra.schedule.latency(), rb.schedule.latency());
     let (ja, jb) = (chrome::to_chrome_json(&a), chrome::to_chrome_json(&b));
     assert_eq!(ja, jb);
@@ -102,8 +116,8 @@ fn thread_count_does_not_change_the_trace_when_pruning_is_off() {
     let mut wide = serial.clone();
     wide.threads = 4;
 
-    let (rs, ts) = search_network_traced(&layers, &arch, &serial);
-    let (rw, tw) = search_network_traced(&layers, &arch, &wide);
+    let (rs, ts) = search_traced(&layers, &arch, &serial);
+    let (rw, tw) = search_traced(&layers, &arch, &wide);
     let (rs, rw) = (rs.unwrap(), rw.unwrap());
     let lat = |v: &[flexer::sched::LayerSearchResult]| -> u64 {
         v.iter().map(|r| r.schedule.latency()).sum()
@@ -116,8 +130,8 @@ fn thread_count_does_not_change_the_trace_when_pruning_is_off() {
 #[test]
 fn gantt_trace_of_the_winner_covers_every_core() {
     let arch = ArchConfig::preset(ArchPreset::Arch1);
-    let (res, _) = search_layer_traced(&golden_layer(), &arch, &golden_opts());
-    let res = res.unwrap();
+    let (res, _) = search_traced(&[golden_layer()], &arch, &golden_opts());
+    let res = res.unwrap().remove(0);
     let gantt = schedule_trace(&res.schedule, "g");
     gantt.check().unwrap();
     // One lane per core that computed something, plus the DMA lane
@@ -138,10 +152,10 @@ fn traced_network_report_surfaces_the_trace_summary() {
     let arch = ArchConfig::preset(ArchPreset::Arch1);
     let net = Network::new("one", vec![golden_layer()]).unwrap();
     let driver = Flexer::new(arch).with_options(golden_opts());
-    let traced = driver.trace_network(&net);
-    traced.result.as_ref().unwrap();
-    traced.trace.check().unwrap();
-    assert!(traced.report().contains("trace:"));
-    assert!(traced.chrome_json().contains("\"ph\":\"X\""));
-    assert!(traced.span_tree().contains("#0 search"));
+    let (result, trace) = driver.search(net.layers(), SchedulerKind::Ooo, RunMode::Traced);
+    result.unwrap();
+    trace.check().unwrap();
+    assert!(trace.summary().to_string().contains("spans"));
+    assert!(chrome::to_chrome_json(&trace).contains("\"ph\":\"X\""));
+    assert!(text::render_tree(&trace).contains("#0 search"));
 }

@@ -5,8 +5,12 @@ set -euo pipefail
 cd "$(dirname "$0")"
 cargo fmt --all --check
 cargo build --release --workspace
+# The benchmark is its own cargo workspace over the library crates: an
+# API change that breaks it, or that would rewrite its lock file, fails
+# here. It builds into the gitignored perfbench/target.
+cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
 # Every crate's tests in debug, so debug_asserts (the cost-to-go check,
-# the SPM index cross-check) run too. This covers the differential gate
+# the scheduler's and allocator's internal checks) run too. This covers the differential gate
 # (the interpreter/verifier suites plus a network-level sweep executing
 # every winning schedule on the SPM abstract machine) and the store and
 # serving suites (fingerprint pinning, corruption handling, warm-start

@@ -5,34 +5,6 @@ use flexer_spm::SpmMemory;
 use flexer_tiling::{Dfg, OpId, TileId, TileKind};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// FNV-1a, the hasher for the per-step duplicate-class set: the class
-/// encodings are ~10–20 bytes, where SipHash's setup cost dominates the
-/// hash itself. Membership tests run once per examined combination.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct FnvHasher(u64);
-
-impl Default for FnvHasher {
-    fn default() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Hasher for FnvHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type FnvSet<T> = HashSet<T, BuildHasherDefault<FnvHasher>>;
 
 /// The dataflow classification of one operation set (paper Figure 7's
 /// *dataflow map*): for each data type, the multiset of intra-set
@@ -68,26 +40,20 @@ type FnvSet<T> = HashSet<T, BuildHasherDefault<FnvHasher>>;
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct DataflowClass(Vec<u8>);
 
-impl std::borrow::Borrow<[u8]> for DataflowClass {
-    fn borrow(&self) -> &[u8] {
-        // Consistent with the derived Hash/Eq: a Vec<u8> hashes and
-        // compares exactly like its slice, so encodings can be looked
-        // up in a HashSet<DataflowClass> without allocating a class.
-        &self.0
-    }
-}
-
 /// Reusable buffers for set generation and classification: one of
 /// these lives per scheduler run, so the per-combination inner loop
-/// allocates only when a *new* dataflow class is kept.
+/// allocates only while its recycled buffers grow.
 #[derive(Debug, Default)]
 pub(crate) struct ComboScratch {
     /// `(resident operand bytes, op)` ranking, computed once per call.
     ranked: Vec<(u64, OpId)>,
     /// Current combination's candidate indices.
     idx: Vec<usize>,
-    /// Seen dataflow classes, by their canonical encoding.
-    seen: FnvSet<DataflowClass>,
+    /// Canonical encodings of the classes kept so far in this call: the
+    /// first `produced` entries, one per kept set (at most
+    /// `max_sets`, so a linear scan beats hashing). Recycled across
+    /// calls.
+    seen: Vec<Vec<u8>>,
     /// Operand codes (see [`tile_code`]) of the ranked candidates,
     /// prefetched once per call so the inner loop never touches the
     /// graph or re-answers a residency query.
@@ -323,7 +289,6 @@ pub(crate) fn generate_sets_into(
         slot.sort_unstable();
         *produced += 1;
     };
-    scratch.seen.clear();
     let mut examined = 0usize;
 
     // Lexicographic k-combination enumeration over candidate indices.
@@ -339,14 +304,15 @@ pub(crate) fn generate_sets_into(
                 scratch.codes.extend_from_slice(&scratch.cands[i]);
             }
             classify_codes(&mut scratch.codes, &mut scratch.class_buf);
-            // Duplicates cost no allocation: the encoding buffer is
-            // looked up as a slice and only cloned when new.
-            if scratch.seen.contains(scratch.class_buf.as_slice()) {
+            // Every kept set added one class, so the classes seen are
+            // exactly the first `produced` entries.
+            if scratch.seen[..produced].contains(&scratch.class_buf) {
                 stats.sets_pruned += 1;
             } else {
-                scratch
-                    .seen
-                    .insert(DataflowClass(scratch.class_buf.clone()));
+                if produced == scratch.seen.len() {
+                    scratch.seen.push(Vec::new());
+                }
+                scratch.seen[produced].clone_from(&scratch.class_buf);
                 keep(&scratch.idx, out, &mut produced);
             }
         } else {

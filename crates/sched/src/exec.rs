@@ -6,7 +6,7 @@
 //! comparison between them is apples-to-apples (DESIGN.md §5).
 
 use crate::error::SchedError;
-use crate::priority::{plan_set, PlanEvent, TileAction};
+use crate::priority::{plan_set_into, EvalScratch, PlanEvent, TileAction};
 use crate::program::{Command, Program};
 use crate::stats::SearchStats;
 use flexer_arch::{ArchConfig, PerfModel};
@@ -14,7 +14,6 @@ use flexer_sim::{MemOpKind, Schedule, ScheduleBuilder, TrafficClass};
 use flexer_spm::{SpillPolicy, SpmMemory};
 use flexer_tiling::{Dfg, OpId, TileId, TileKind};
 use flexer_trace::{Lane, TraceDetail};
-use std::collections::BTreeMap;
 
 /// Mutable state of one scheduling run.
 pub(crate) struct ExecState<'a> {
@@ -23,14 +22,16 @@ pub(crate) struct ExecState<'a> {
     spill: &'a dyn SpillPolicy,
     cores: u32,
     spm: SpmMemory,
+    // Per-tile state below is indexed by `Dfg::tile_slot`.
     /// Remaining operand references per tile (before unscheduled ops).
-    uses: BTreeMap<TileId, u32>,
+    uses: Vec<u32>,
     /// End cycle of every scheduled op.
     op_end: Vec<u64>,
-    /// Cycle at which a tile's current on-chip copy is valid.
-    tile_ready: BTreeMap<TileId, u64>,
+    /// Cycle at which a tile's current on-chip copy is valid (0 when
+    /// it is not on-chip).
+    tile_ready: Vec<u64>,
     /// Last cycle at which a tile is read or written by a scheduled op.
-    tile_busy: BTreeMap<TileId, u64>,
+    tile_busy: Vec<u64>,
     builder: ScheduleBuilder,
     scheduled: Vec<bool>,
     remaining: usize,
@@ -56,11 +57,12 @@ impl<'a> ExecState<'a> {
         perf: &'a dyn PerfModel,
         spill: &'a dyn SpillPolicy,
     ) -> Self {
-        let uses: BTreeMap<TileId, u32> = dfg.tiles().map(|t| (t, dfg.initial_uses(t))).collect();
+        // `tiles()` runs in slot order.
+        let uses: Vec<u32> = dfg.tiles().map(|t| dfg.initial_uses(t)).collect();
         // Saturating: an adversarial DRAM latency must surface as the
         // timeline's typed overflow error, not as a panic here.
         let (mut compulsory_dma_left, mut compulsory_bytes_left) = (0u64, 0u64);
-        for (&tile, _) in uses.iter().filter(|(_, &n)| n > 0) {
+        for (tile, _) in dfg.tiles().zip(&uses).filter(|(_, &n)| n > 0) {
             let (cycles, dram) = compulsory_transfer(dfg, perf, tile);
             compulsory_dma_left = compulsory_dma_left.saturating_add(cycles);
             compulsory_bytes_left = compulsory_bytes_left.saturating_add(dram);
@@ -73,8 +75,8 @@ impl<'a> ExecState<'a> {
             spm: SpmMemory::new(arch.spm_bytes()),
             uses,
             op_end: vec![0; dfg.num_ops()],
-            tile_ready: BTreeMap::new(),
-            tile_busy: BTreeMap::new(),
+            tile_ready: vec![0; dfg.num_tiles()],
+            tile_busy: vec![0; dfg.num_tiles()],
             builder: ScheduleBuilder::new(arch.cores()),
             scheduled: vec![false; dfg.num_ops()],
             remaining: dfg.num_ops(),
@@ -95,13 +97,14 @@ impl<'a> ExecState<'a> {
         &self.spm
     }
 
-    pub(crate) fn uses(&self) -> &BTreeMap<TileId, u32> {
+    /// Remaining operand references, indexed by [`Dfg::tile_slot`].
+    pub(crate) fn uses(&self) -> &[u32] {
         &self.uses
     }
 
     /// Splits the borrow so the transactional evaluator can mutate the
     /// scratchpad while reading the use counts.
-    pub(crate) fn spm_and_uses(&mut self) -> (&mut SpmMemory, &BTreeMap<TileId, u32>) {
+    pub(crate) fn spm_and_uses(&mut self) -> (&mut SpmMemory, &[u32]) {
         (&mut self.spm, &self.uses)
     }
 
@@ -180,6 +183,7 @@ impl<'a> ExecState<'a> {
     /// Commits one operation set: plans and pins its memory, records
     /// spills, loads, compute and final stores, updates use counts and
     /// returns the ids newly woken up (paper Algorithm 1 lines 21-24).
+    /// The plan is built in `scratch`, the run's evaluation buffers.
     ///
     /// At [`TraceDetail::Memory`] the commit is recorded into `lane` as
     /// a `commit` span carrying the plan's eviction / compaction / load
@@ -187,6 +191,7 @@ impl<'a> ExecState<'a> {
     pub(crate) fn commit_set(
         &mut self,
         ops: &[OpId],
+        scratch: &mut EvalScratch,
         lane: &mut Lane,
     ) -> Result<Vec<OpId>, SchedError> {
         debug_assert!(!ops.is_empty() && ops.len() <= self.cores as usize);
@@ -194,8 +199,15 @@ impl<'a> ExecState<'a> {
         let commit_span = lane
             .records(TraceDetail::Memory)
             .then(|| lane.enter("commit"));
-        let plan = match plan_set(self.dfg, &mut self.spm, &self.uses, self.spill, ops) {
-            Ok(plan) => plan,
+        let plan = match plan_set_into(
+            self.dfg,
+            &mut self.spm,
+            &self.uses,
+            self.spill,
+            ops,
+            scratch,
+        ) {
+            Ok(()) => &scratch.plan,
             Err(e) => {
                 if let Some(guard) = commit_span {
                     lane.attr("outcome", "plan-failed");
@@ -290,15 +302,16 @@ impl<'a> ExecState<'a> {
             // Spill write-backs for dirty evictions. Clean evictions cost
             // nothing (their data is still in DRAM).
             for ev in &plan.evictions {
-                self.tile_ready.remove(&ev.tile);
-                if self.uses.get(&ev.tile).is_some_and(|&n| n > 0) {
+                let slot = self.dfg.tile_slot(ev.tile);
+                self.tile_ready[slot] = 0;
+                if self.uses[slot] > 0 {
                     let (cycles, dram) = reload_transfer(self.dfg, self.perf, ev.tile);
                     self.owed_dma = self.owed_dma.saturating_add(cycles);
                     self.owed_bytes = self.owed_bytes.saturating_add(dram);
                 }
                 if ev.dirty {
                     debug_assert_eq!(ev.tile.kind(), TileKind::Output);
-                    let earliest = self.tile_busy.get(&ev.tile).copied().unwrap_or(0);
+                    let earliest = self.tile_busy[slot];
                     self.builder.record_mem_op_after(
                         MemOpKind::Spill,
                         TrafficClass::Psum,
@@ -313,10 +326,11 @@ impl<'a> ExecState<'a> {
 
             // Loads for missing inputs, weights and spilled partial sums.
             for (tile, bytes, action) in &plan.tiles {
+                let slot = self.dfg.tile_slot(*tile);
                 if *action != TileAction::Load {
                     if *action == TileAction::AllocOutput {
                         // Fresh accumulator: available immediately.
-                        self.tile_ready.insert(*tile, 0);
+                        self.tile_ready[slot] = 0;
                     }
                     continue;
                 }
@@ -325,7 +339,7 @@ impl<'a> ExecState<'a> {
                 // compulsory transfer. Any other load (a psum always)
                 // reloads a tile evicted with uses left: an owed reload.
                 if tile.kind() != TileKind::Output
-                    && self.uses.get(tile) == Some(&self.dfg.initial_uses(*tile))
+                    && self.uses[slot] == self.dfg.initial_uses(*tile)
                 {
                     self.issue_compulsory(*tile);
                 } else {
@@ -373,26 +387,18 @@ impl<'a> ExecState<'a> {
                         for_op,
                     )?
                 };
-                self.tile_ready.insert(*tile, end);
+                self.tile_ready[slot] = end;
             }
 
             // Spatial reuse: tiles consumed by several ops of this set
-            // (paper Figure 11).
-            {
-                let mut degree: BTreeMap<TileId, u32> = BTreeMap::new();
-                for &id in ops {
-                    for tile in self.dfg.op(id).operands() {
-                        *degree.entry(tile).or_default() += 1;
-                    }
-                }
-                for (tile, sharers) in degree {
-                    if sharers >= 2 {
-                        self.builder.record_shared_tile(
-                            tile.kind(),
-                            self.dfg.tile_bytes(tile),
-                            sharers,
-                        );
-                    }
+            // (paper Figure 11). The plan lists each distinct tile once.
+            for &(tile, bytes, _) in &plan.tiles {
+                let sharers = ops
+                    .iter()
+                    .filter(|&&id| self.dfg.op(id).operands().any(|t| t == tile))
+                    .count() as u32;
+                if sharers >= 2 {
+                    self.builder.record_shared_tile(tile.kind(), bytes, sharers);
                 }
             }
 
@@ -405,7 +411,7 @@ impl<'a> ExecState<'a> {
                 let op = self.dfg.op(id);
                 let mut earliest = 0u64;
                 for tile in op.operands() {
-                    earliest = earliest.max(self.tile_ready.get(&tile).copied().unwrap_or(0));
+                    earliest = earliest.max(self.tile_ready[self.dfg.tile_slot(tile)]);
                 }
                 if let Some(pred) = self.dfg.pred(id) {
                     debug_assert!(self.scheduled[pred.index()]);
@@ -424,18 +430,17 @@ impl<'a> ExecState<'a> {
                 });
                 self.op_end[id.index()] = end;
                 for tile in op.operands() {
-                    let busy = self.tile_busy.entry(tile).or_default();
-                    *busy = (*busy).max(end);
+                    let slot = self.dfg.tile_slot(tile);
+                    self.tile_busy[slot] = self.tile_busy[slot].max(end);
                 }
                 // The op (re)writes its accumulator.
-                self.tile_ready.insert(op.output(), end);
+                self.tile_ready[self.dfg.tile_slot(op.output())] = end;
                 self.spm.set_dirty(op.output(), true);
 
                 // Bookkeeping: use counts and wakeup.
                 for tile in op.operands() {
-                    if let Some(u) = self.uses.get_mut(&tile) {
-                        *u = u.saturating_sub(1);
-                    }
+                    let u = &mut self.uses[self.dfg.tile_slot(tile)];
+                    *u = u.saturating_sub(1);
                     self.spm.decrement_uses(tile);
                 }
                 self.scheduled[id.index()] = true;

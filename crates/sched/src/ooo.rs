@@ -370,7 +370,7 @@ impl<'a> OooScheduler<'a> {
             }
 
             let commit_start = Instant::now();
-            let woken = match state.commit_set(&set, lane) {
+            let woken = match state.commit_set(&set, &mut eval_scratch, lane) {
                 Ok(woken) => woken,
                 Err(e) => {
                     if let Some(guard) = step_span {

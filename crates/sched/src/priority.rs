@@ -5,7 +5,6 @@ use flexer_spm::{AllocError, AllocMethod, Eviction, SpillPolicy, SpmMemory, Tile
 use flexer_tiling::{Dfg, OpId, TileId};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// What must happen for one distinct tile of an operation set.
@@ -78,7 +77,7 @@ impl SetPlan {
 /// per scheduler run, so the inner candidate loop allocates nothing.
 #[derive(Debug, Default)]
 pub(crate) struct EvalScratch {
-    plan: SetPlan,
+    pub(crate) plan: SetPlan,
     seen: Vec<TileId>,
     missing: Vec<(TileId, u64, TileAction)>,
 }
@@ -93,12 +92,12 @@ pub(crate) struct EvalScratch {
 /// needs; if an allocation still fails, the buffer is compacted once
 /// (cost reported in [`SetPlan::compaction_bytes`]) and retried.
 ///
-/// `uses` maps every tile to its remaining operand-reference count
-/// *before* this set executes.
+/// `uses` holds every tile's remaining operand-reference count *before*
+/// this set executes, indexed by [`Dfg::tile_slot`].
 pub(crate) fn plan_set(
     dfg: &Dfg,
     spm: &mut SpmMemory,
-    uses: &BTreeMap<TileId, u32>,
+    uses: &[u32],
     spill: &dyn SpillPolicy,
     ops: &[OpId],
 ) -> Result<SetPlan, AllocError> {
@@ -112,7 +111,7 @@ pub(crate) fn plan_set(
 pub(crate) fn plan_set_into(
     dfg: &Dfg,
     spm: &mut SpmMemory,
-    uses: &BTreeMap<TileId, u32>,
+    uses: &[u32],
     spill: &dyn SpillPolicy,
     ops: &[OpId],
     scratch: &mut EvalScratch,
@@ -167,7 +166,7 @@ pub(crate) fn plan_set_into(
     // planning stays deterministic).
     missing.sort_by_key(|&(tile, bytes, _)| (std::cmp::Reverse(bytes), tile));
     for (tile, bytes, action) in missing.drain(..) {
-        let remain = uses.get(&tile).copied().unwrap_or(0);
+        let remain = uses[dfg.tile_slot(tile)];
         let outcome = spm.allocate(tile, bytes, remain, spill)?;
         debug_assert_ne!(outcome.method, AllocMethod::AlreadyResident);
         // Compaction (if any) ran before the victims were evicted,
@@ -201,7 +200,7 @@ pub(crate) fn plan_set_into(
 pub(crate) fn plan_probe(
     dfg: &Dfg,
     spm: &mut SpmMemory,
-    uses: &BTreeMap<TileId, u32>,
+    uses: &[u32],
     spill: &dyn SpillPolicy,
     ops: &[OpId],
 ) -> Result<(), AllocError> {
@@ -242,14 +241,16 @@ impl SetEvaluation {
     /// of `spm`; the real memory is untouched. Returns `None` when the
     /// set cannot be placed (infeasible under current pins/capacity).
     ///
-    /// `dma_cycles` converts transfer bytes to DMA latency (from the
-    /// architecture's performance model); `cores` bounds the reuse
-    /// weight of spilled data (§4.3's `max ref count`).
+    /// `uses` holds each tile's remaining operand references, indexed
+    /// by [`Dfg::tile_slot`]; `dma_cycles` converts transfer bytes to
+    /// DMA latency (from the architecture's performance model); `cores`
+    /// bounds the reuse weight of spilled data (§4.3's `max ref
+    /// count`).
     #[must_use]
     pub fn evaluate(
         dfg: &Dfg,
         spm: &SpmMemory,
-        uses: &BTreeMap<TileId, u32>,
+        uses: &[u32],
         spill: &dyn SpillPolicy,
         cores: u32,
         dma_cycles: &dyn Fn(u64) -> u64,
@@ -278,7 +279,7 @@ impl SetEvaluation {
     pub(crate) fn evaluate_transactional(
         dfg: &Dfg,
         spm: &mut SpmMemory,
-        uses: &BTreeMap<TileId, u32>,
+        uses: &[u32],
         spill: &dyn SpillPolicy,
         cores: u32,
         dma_cycles: &dyn Fn(u64) -> u64,
@@ -423,21 +424,21 @@ mod tests {
     use flexer_spm::FlexerSpill;
     use flexer_tiling::{Dataflow, TilingFactors};
 
-    fn fixture() -> (Dfg, SpmMemory, BTreeMap<TileId, u32>, SystolicModel) {
+    fn fixture() -> (Dfg, SpmMemory, Vec<u32>, SystolicModel) {
         let arch = ArchConfig::preset(ArchPreset::Arch1);
         let layer = ConvLayer::new("p", 16, 8, 8, 16).unwrap();
         let model = SystolicModel::new(&arch);
         let factors = TilingFactors::normalized(&layer, 2, 2, 2, 1);
         let dfg = Dfg::build(&layer, factors, Dataflow::Csk, &model, &arch).unwrap();
         let spm = SpmMemory::new(4096);
-        let uses: BTreeMap<TileId, u32> = dfg.tiles().map(|t| (t, dfg.initial_uses(t))).collect();
+        let uses: Vec<u32> = dfg.tiles().map(|t| dfg.initial_uses(t)).collect();
         (dfg, spm, uses, model)
     }
 
     fn eval(
         dfg: &Dfg,
         spm: &SpmMemory,
-        uses: &BTreeMap<TileId, u32>,
+        uses: &[u32],
         model: &SystolicModel,
         ops: &[OpId],
     ) -> Option<SetEvaluation> {

@@ -4,7 +4,6 @@ use crate::block::{Block, BlockState, TileData};
 use crate::policy::SpillPolicy;
 use flexer_tiling::TileId;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -240,10 +239,6 @@ pub struct SpmMemory {
     journal: Vec<JournalEntry>,
     /// Number of open (un-resolved) checkpoints.
     tx_depth: usize,
-    /// Tile → block start address, kept exactly in sync with `blocks`
-    /// (including through journal undo). Turns residency lookups from
-    /// an O(blocks) scan into a hash probe plus a binary search.
-    resident: HashMap<TileId, u64>,
 }
 
 /// A clone is a fresh snapshot of the block map: it does not inherit
@@ -255,7 +250,6 @@ impl Clone for SpmMemory {
             blocks: self.blocks.clone(),
             journal: Vec::new(),
             tx_depth: 0,
-            resident: self.resident.clone(),
         }
     }
 }
@@ -283,7 +277,6 @@ impl SpmMemory {
             blocks: vec![Block::new(0, capacity, BlockState::Free)],
             journal: Vec::new(),
             tx_depth: 0,
-            resident: HashMap::new(),
         }
     }
 
@@ -368,25 +361,14 @@ impl SpmMemory {
     }
 
     /// Reverts a single journal entry. Only sound when applied in
-    /// strict LIFO order (see [`JournalEntry`]): the block's index and
-    /// start address at undo time match those at mutation time, so the
-    /// resident map can be patched in place.
+    /// strict LIFO order (see [`JournalEntry`]): the block's index at
+    /// undo time matches that at mutation time.
     fn undo(&mut self, entry: JournalEntry) {
         match entry {
             JournalEntry::State { index, old } => {
-                let address = self.blocks[index].start();
-                if let Some(d) = self.blocks[index].state().tile_data() {
-                    self.resident.remove(&d.tile);
-                }
-                if let Some(d) = old.tile_data() {
-                    self.resident.insert(d.tile, address);
-                }
                 *self.blocks[index].state_mut() = old;
             }
             JournalEntry::SplitPlace { index, old } => {
-                if let Some(d) = self.blocks[index].state().tile_data() {
-                    self.resident.remove(&d.tile);
-                }
                 self.blocks.remove(index + 1);
                 self.blocks[index] = old;
             }
@@ -399,34 +381,15 @@ impl SpmMemory {
             }
             JournalEntry::Snapshot { blocks } => {
                 self.blocks = blocks;
-                self.rebuild_resident();
             }
         }
     }
 
-    /// Overwrites the state of block `i`, journaling the old state and
-    /// keeping the resident map in sync.
+    /// Overwrites the state of block `i`, journaling the old state.
     fn set_state(&mut self, i: usize, state: BlockState) {
         let old = *self.blocks[i].state();
         self.record(JournalEntry::State { index: i, old });
-        if let Some(d) = old.tile_data() {
-            self.resident.remove(&d.tile);
-        }
-        if let Some(d) = state.tile_data() {
-            self.resident.insert(d.tile, self.blocks[i].start());
-        }
         *self.blocks[i].state_mut() = state;
-    }
-
-    /// Recomputes the resident map from the block map, after structural
-    /// rewrites that move blocks wholesale (compaction and its undo).
-    fn rebuild_resident(&mut self) {
-        self.resident.clear();
-        for b in &self.blocks {
-            if let Some(d) = b.state().tile_data() {
-                self.resident.insert(d.tile, b.start());
-            }
-        }
     }
 
     /// Total capacity in bytes.
@@ -482,32 +445,14 @@ impl SpmMemory {
         }
     }
 
-    /// Index of the block holding `tile`, if resident.
-    ///
-    /// O(log blocks): the resident map yields the block's start
-    /// address, and the address-ordered block map is binary-searched
-    /// for it. Debug builds cross-check against the original linear
-    /// scan.
+    /// Index of the block holding `tile`, if resident: one scan of
+    /// the block map. The map is short (tens of blocks), so the scan
+    /// costs less than keeping a tile index in sync through every
+    /// mutation and undo.
     fn find_index(&self, tile: TileId) -> Option<usize> {
-        let found = self.resident.get(&tile).and_then(|&addr| {
-            let i = self
-                .blocks
-                .binary_search_by(|b| b.start().cmp(&addr))
-                .ok()?;
-            self.blocks[i]
-                .state()
-                .tile_data()
-                .is_some_and(|d| d.tile == tile)
-                .then_some(i)
-        });
-        debug_assert_eq!(
-            found,
-            self.blocks
-                .iter()
-                .position(|b| b.state().tile_data().is_some_and(|d| d.tile == tile)),
-            "resident map out of sync for {tile}"
-        );
-        found
+        self.blocks
+            .iter()
+            .position(|b| b.state().tile_data().is_some_and(|d| d.tile == tile))
     }
 
     /// Whether `tile` is resident.
@@ -671,7 +616,6 @@ impl SpmMemory {
                 old: block,
             });
             let rest = Block::new(address + size, block.size() - size, BlockState::Free);
-            self.resident.insert(data.tile, address);
             self.blocks[i] = Block::new(address, size, BlockState::Allocated(data));
             self.blocks.insert(i + 1, rest);
         }
@@ -863,7 +807,6 @@ impl SpmMemory {
             packed.push(Block::new(cursor, self.capacity - cursor, BlockState::Free));
         }
         self.blocks = packed;
-        self.rebuild_resident();
         moves
     }
 

@@ -36,8 +36,17 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// Maps `n` one-to-one onto tiles of all three kinds, cycling the kind
+/// fastest, so every index pair `(n / 6, n / 3 % 2)` is drawn as an
+/// input, a weight and an output tile: a lookup that confused kinds
+/// would return another tile's block.
 fn tile(n: u32) -> TileId {
-    TileId::Output { k: n, s: 0 }
+    let (a, b) = (n / 6, n / 3 % 2);
+    match n % 3 {
+        0 => TileId::Input { c: a, s: b },
+        1 => TileId::Weight { k: a, c: b },
+        _ => TileId::Output { k: a, s: b },
+    }
 }
 
 fn run_sequence(policy: &dyn SpillPolicy, capacity: u64, ops: &[Op]) {
@@ -53,7 +62,11 @@ fn run_sequence(policy: &dyn SpillPolicy, capacity: u64, ops: &[Op]) {
                 let was_resident = spm.contains(tile(*t));
                 match spm.allocate(tile(*t), *size, *uses, policy) {
                     Ok(outcome) => {
-                        assert!(spm.contains(tile(*t)));
+                        // The lookup finds the tile's own block, not
+                        // another kind's with the same indices.
+                        let found = spm.tile_data(tile(*t)).map(|d| d.tile);
+                        assert_eq!(found, Some(tile(*t)));
+                        assert_eq!(spm.address_of(tile(*t)), Some(outcome.address));
                         if was_resident {
                             assert_eq!(outcome.method, AllocMethod::AlreadyResident);
                             assert!(outcome.evictions.is_empty());
@@ -89,7 +102,7 @@ fn run_sequence(policy: &dyn SpillPolicy, capacity: u64, ops: &[Op]) {
                 } else {
                     let was = spm.contains(tile(*t));
                     let ev = spm.evict(tile(*t));
-                    assert_eq!(ev.is_some(), was);
+                    assert_eq!(ev.map(|e| e.tile), was.then(|| tile(*t)));
                     assert!(!spm.contains(tile(*t)));
                 }
             }

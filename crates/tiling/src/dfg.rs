@@ -419,6 +419,26 @@ impl Dfg {
         }
     }
 
+    /// Dense index of `tile` among all of this DFG's tiles: its
+    /// [`Dfg::tile_index`] behind the tile counts of the kinds before
+    /// it. Slots run `0..num_tiles()` in [`Dfg::tiles`] order, so
+    /// per-tile state can live in a plain vector.
+    #[must_use]
+    pub fn tile_slot(&self, tile: TileId) -> usize {
+        let offset = match tile.kind() {
+            TileKind::Input => 0,
+            TileKind::Weight => self.in_bytes.len(),
+            TileKind::Output => self.in_bytes.len() + self.wt_bytes.len(),
+        };
+        offset + self.tile_index(tile)
+    }
+
+    /// Number of distinct tiles, the bound of [`Dfg::tile_slot`].
+    #[must_use]
+    pub fn num_tiles(&self) -> usize {
+        self.in_bytes.len() + self.wt_bytes.len() + self.ot_bytes.len()
+    }
+
     /// Number of operations that reference `tile` as an operand over
     /// the whole DFG (reads plus accumulation writes).
     #[must_use]
